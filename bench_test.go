@@ -162,16 +162,6 @@ func BenchmarkAblationSchemes(b *testing.B) {
 	logTable(b, tab)
 }
 
-func BenchmarkAblationEagerVsLazy(b *testing.B) {
-	ta, _ := benchDatasets()
-	b.ResetTimer()
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.RunLazyAblation(experiments.AblationConfig{Dataset: ta, Budget: benchBudget})
-	}
-	logTable(b, tab)
-}
-
 // --- Micro-benchmarks of the hot paths ---
 
 func benchIndex(b *testing.B) *groups.Index {
@@ -189,7 +179,7 @@ func BenchmarkGroupBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyEager times Algorithm 1 proper (the CSR engine).
+// BenchmarkGreedyEager times Algorithm 1 proper (the greedy loop).
 func BenchmarkGreedyEager(b *testing.B) {
 	ix := benchIndex(b)
 	inst := groups.NewInstance(ix, groups.WeightLBS, groups.CoverSingle, benchBudget)
@@ -223,17 +213,6 @@ func BenchmarkGreedyParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.GreedyOpts(inst, benchBudget, opt)
-	}
-}
-
-// BenchmarkGreedyLazy times the lazy variant on the same instance.
-func BenchmarkGreedyLazy(b *testing.B) {
-	ix := benchIndex(b)
-	inst := groups.NewInstance(ix, groups.WeightLBS, groups.CoverSingle, benchBudget)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.LazyGreedy(inst, benchBudget)
 	}
 }
 

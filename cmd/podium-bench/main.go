@@ -143,7 +143,6 @@ func main() {
 			cfg := experiments.AblationConfig{Dataset: ta(), Budget: *budget}
 			showRaw(experiments.RunBucketingAblation(cfg))
 			showRaw(experiments.RunSchemeAblation(cfg))
-			showRaw(experiments.RunLazyAblation(cfg))
 		},
 		"extra": func() {
 			showRaw(experiments.RunExtendedIntrinsic(experiments.IntrinsicConfig{Dataset: ta(), Seed: *seed, Budget: *budget}))
@@ -170,7 +169,11 @@ func main() {
 				fmt.Fprintf(os.Stderr, "podium-bench: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Printf("wrote %s (min parallel speedup %.2fx over the seed greedy)\n", path, rep.MinSpeedupPar)
+			if rep.MinSpeedupPar > 0 {
+				fmt.Printf("wrote %s (min parallel speedup %.2fx over the seed greedy)\n", path, rep.MinSpeedupPar)
+			} else {
+				fmt.Printf("wrote %s (one CPU: no parallel variant)\n", path)
+			}
 		},
 		"serve": func() {
 			tab, rep, err := experiments.RunServerSuite(experiments.ServerConfig{

@@ -25,8 +25,6 @@ type Selector interface {
 type Podium struct {
 	Weights  groups.WeightScheme
 	Coverage groups.CoverageScheme
-	// Lazy switches to the accelerated lazy-greedy variant.
-	Lazy bool
 }
 
 // Name implements Selector.
@@ -34,11 +32,7 @@ func (p Podium) Name() string { return "Podium" }
 
 // Select implements Selector.
 func (p Podium) Select(ix *groups.Index, budget int) []profile.UserID {
-	inst := groups.NewInstance(ix, p.Weights, p.Coverage, budget)
-	if p.Lazy {
-		return core.LazyGreedy(inst, budget).Users
-	}
-	return core.Greedy(inst, budget).Users
+	return core.Greedy(groups.NewInstance(ix, p.Weights, p.Coverage, budget), budget).Users
 }
 
 // Random selects users uniformly at random without replacement — "a common

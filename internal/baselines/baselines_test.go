@@ -57,7 +57,6 @@ func TestAllSelectorsBasicContract(t *testing.T) {
 	n := ix.Repo().NumUsers()
 	selectors := []Selector{
 		Podium{Weights: groups.WeightLBS, Coverage: groups.CoverSingle},
-		Podium{Weights: groups.WeightLBS, Coverage: groups.CoverSingle, Lazy: true},
 		Random{Seed: 1},
 		Clustering{Seed: 1},
 		Distance{},
@@ -217,15 +216,9 @@ func TestJaccardDistance(t *testing.T) {
 
 func TestPodiumAdapterMatchesCore(t *testing.T) {
 	ix := paperIndex(t)
-	eager := Podium{Weights: groups.WeightLBS, Coverage: groups.CoverSingle}.Select(ix, 2)
-	if len(eager) != 2 || eager[0] != 0 || eager[1] != 4 {
-		t.Fatalf("Podium adapter selected %v, want [0 4]", eager)
-	}
-	lazy := Podium{Weights: groups.WeightLBS, Coverage: groups.CoverSingle, Lazy: true}.Select(ix, 2)
-	for i := range eager {
-		if eager[i] != lazy[i] {
-			t.Fatal("lazy adapter diverges from eager")
-		}
+	users := Podium{Weights: groups.WeightLBS, Coverage: groups.CoverSingle}.Select(ix, 2)
+	if len(users) != 2 || users[0] != 0 || users[1] != 4 {
+		t.Fatalf("Podium adapter selected %v, want [0 4]", users)
 	}
 }
 

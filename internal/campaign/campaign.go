@@ -5,7 +5,7 @@
 // that a passive batch lookup (opinions.Procure) cannot model.
 //
 // One campaign runs rounds. A round selects the users that best repair the
-// panel's remaining coverage (core.GreedyComplete over the groups the
+// panel's remaining coverage (core.GreedyCompleteRule over the groups the
 // current respondents leave uncovered, excluding users already declared
 // unresponsive or declined), then solicits them through a worker pool in
 // *waves*: every pending user is asked once per wave, answers slower than

@@ -14,7 +14,10 @@ import (
 // ranks are unique — so each marginal is exactly a 0/1 digit vector in base
 // (B+1), indexed by rank. Comparing two marginals is comparing bitsets from
 // the highest rank down. No big-integer arithmetic, no precision loss.
-func ebsGreedy(inst *groups.Instance, budget int, allowed []bool) *Result {
+//
+// t0, when non-nil, resumes from a partial panel: group g's requirement
+// starts reduced by the t0[g] hits the panel already provides.
+func ebsGreedy(inst *groups.Instance, budget int, allowed []bool, t0 []int) *Result {
 	ix := inst.Index
 	n := ix.Repo().NumUsers()
 	res := &Result{}
@@ -26,6 +29,12 @@ func ebsGreedy(inst *groups.Instance, budget int, allowed []bool) *Result {
 	}
 	numGroups := ix.NumGroups()
 	words := (numGroups + 63) / 64
+
+	cov := make([]int, len(inst.Cov))
+	copy(cov, inst.Cov)
+	for g := range t0 {
+		cov[g] = max(0, cov[g]-t0[g])
+	}
 
 	marg := make([]rankBits, n)
 	candidate := make([]bool, n)
@@ -40,14 +49,11 @@ func ebsGreedy(inst *groups.Instance, budget int, allowed []bool) *Result {
 		gs := ix.UserGroups(profile.UserID(u))
 		res.Evaluations += len(gs)
 		for _, g := range gs {
-			if inst.Cov[g] > 0 {
+			if cov[g] > 0 {
 				marg[u].set(inst.EBSRank[g])
 			}
 		}
 	}
-
-	cov := make([]int, len(inst.Cov))
-	copy(cov, inst.Cov)
 
 	for i := 0; i < budget; i++ {
 		if numCandidates == 0 {

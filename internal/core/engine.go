@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"time"
 
@@ -8,58 +9,89 @@ import (
 	"podium/internal/profile"
 )
 
-// This file is the cache-friendly selection engine behind Greedy and
-// GreedyRestricted (float-weight instances; EBS routes to ebs.go). It runs
-// Algorithm 1 with three engine-level changes, none of which alters output:
+// This file is the one greedy loop behind every float-weight selection:
+// Algorithm 1 driven by a rule's credit schedule (rules.go). Every entry
+// point — plain, restricted, merge, top-up from a partial panel, custom,
+// noisy, and the SelectorState's seeded cache-miss path — builds a greedySpec
+// and calls greedy; only coverage on EBS instances leaves it, for the exact
+// rank-vector path (ebs.go). It runs Algorithm 1 with these engine-level
+// changes, none of which alters output:
 //
 //  1. Adjacency is read from the Index's frozen CSR view — contiguous
-//     user→groups and group→members rows — instead of the mutable
-//     [][]GroupID / *Group.Members representation, so every hot loop is a
-//     linear scan without pointer chasing.
+//     user→groups and group→members rows — so every hot loop is a linear
+//     scan without pointer chasing.
 //
 //  2. Candidates live in a compacted ascending list rather than a boolean
 //     mask over all n users. The per-pick argmax touches only the remaining
 //     |𝒰′| candidates, which matters when customization refines the
 //     population to a small 𝒰′ (custom.go) and late in large selections.
 //
-//  3. Empty-selection marginals come from Instance.BaseMarginals — one
-//     memoized O(links) pass per instance (bit-identical to summing each
-//     user's CSR row ascending) — so a selection starts from an O(n) copy.
-//     The server memoizes instances per snapshot epoch, which makes the
-//     per-request select cost independent of total link count.
+//  3. The start row marg_{u,·} is an O(n) copy where one exists: of
+//     Instance.BaseMarginals (memoized per instance, so per epoch on the
+//     server) for the coverage rule, or of a SelectorState's delta-repaired
+//     base. Otherwise the rule sums it group-major (Rule.baseFrom). Every
+//     start sums each user's CSR row in ascending group order, so all three
+//     produce the same floats.
 //
-//  4. With Options.Parallelism > 1, the argmax and retraction loops shard
-//     across workers. Determinism is preserved structurally: shards are
-//     contiguous index ranges, each worker reports a local (marginal,
-//     lowest-index) best, and the reduction scans shards in ascending order
-//     accepting only strictly greater marginals — exactly the total order
-//     the sequential scan implies. Float sums are unchanged because
-//     retractions apply exactly one subtraction per (group, member) pair in
-//     the same group order as the sequential loop.
+//  4. Per group the loop tracks only the selected-member count. When a pick
+//     moves a group down its schedule, the credit drop is retracted from
+//     every member's marginal — one subtraction per (group,
+//     member), groups in the picked user's ascending row order. For coverage
+//     the drop is wei(G), once, at saturation. Members no longer candidates
+//     are retracted too (their marginals are never read again), which keeps
+//     the per-member candidacy branch out of the hot loop.
 //
-// Result.Evaluations counts the link traversals this engine performs; the
-// engine walks whole CSR member rows (no per-member candidacy branch), so
-// saturation counts every member link, where the pre-CSR implementation
-// (reference.go) counted only remaining candidates.
+//  5. With Options.Parallelism > 1, the argmax and retraction loops shard
+//     across workers. Shards are contiguous index ranges, each worker reports
+//     a local (marginal, lowest-index) best, and the reduction scans shards in
+//     ascending order accepting only strictly greater marginals — exactly the
+//     total order the sequential scan implies. Sharded retraction performs
+//     the same subtractions on disjoint members, so floats are unchanged.
+//
+// Result.Evaluations counts the member links retraction walks.
 
 // engineParallelCutoff is the element count below which sharding a loop is
 // not worth the goroutine fan-out. A package variable so the equivalence
 // tests can force the sharded paths on tiny instances.
 var engineParallelCutoff = 256
 
-func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options) *Result {
+// greedySpec is one run of the greedy loop.
+type greedySpec struct {
+	budget  int
+	allowed []bool // nil: every user is a candidate
+	rule    *Rule  // nil: coverage
+	opt     Options
+	// The start point; both nil starts from the empty selection. t0[g]
+	// pre-advances group g's schedule by t0[g] selected members (a partial
+	// panel's hits). seed is the rule's empty-selection base row (a
+	// SelectorState's repaired base), copied, never written. At most one is
+	// set.
+	t0   []int
+	seed []float64
+	// rng, when set, breaks argmax ties uniformly at random (NoisyGreedy),
+	// drawing in ascending candidate order; it forces a sequential scan.
+	rng *rand.Rand
+}
+
+// greedy runs the loop described above on inst.
+func greedy(inst *groups.Instance, sp greedySpec) *Result {
+	r := sp.rule.OrDefault()
+	if inst.EBS && r.ebsExact {
+		return ebsGreedy(inst, sp.budget, sp.allowed, sp.t0)
+	}
 	ix := inst.Index
 	n := ix.Repo().NumUsers()
 	res := &Result{}
-	if budget <= 0 || n == 0 {
+	if sp.budget <= 0 || n == 0 {
 		return res
 	}
 	csr := ix.CSR()
-	workers := opt.workerCount()
+	workers := sp.opt.workerCount()
+	credit := r.credits(inst)
 
 	// Optional stage clock. All timing sites guard on tim != nil, so the
 	// uninstrumented path pays one predictable branch per stage boundary.
-	tim := opt.Timings
+	tim := sp.opt.Timings
 	var t0 time.Time
 	if tim != nil {
 		tim.Runs++
@@ -70,7 +102,7 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 	// lowest-index tie-break.
 	cand := make([]int32, 0, n)
 	for u := 0; u < n; u++ {
-		if allowed == nil || allowed[u] {
+		if sp.allowed == nil || sp.allowed[u] {
 			cand = append(cand, int32(u))
 		}
 	}
@@ -78,28 +110,18 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		return res
 	}
 
-	// Line 2: marg_{u,∅} = Σ_{G∋u, cov(G)>0} wei(G). The instance memoizes
-	// the empty-selection marginals (one O(links) group-major pass, in the
-	// same per-user ascending-group float order this loop used to run), so
-	// every selection after an instance's first starts from an O(n) copy —
-	// the pass that used to dominate large-population selects is paid once
-	// per published snapshot, not once per request.
-	marg := make([]float64, n)
-	copy(marg, inst.BaseMarginals())
-	for _, cu := range cand {
-		res.Evaluations += csr.UserDegree(profile.UserID(cu))
-	}
+	// marg is assigned once: the sharded retraction closure captures it, and
+	// a reassigned captured variable moves to the heap, costing the hot
+	// loops an indirection.
+	marg := sp.startRow(inst, r)
 
-	// Remaining required coverage per group; mutated as users are picked.
-	cov := make([]int, len(inst.Cov))
-	copy(cov, inst.Cov)
+	// Selected members per group: each group's position on its schedule.
+	cnt := make([]int, ix.NumGroups())
+	copy(cnt, sp.t0)
 
 	// The selection size is known up front; pre-sizing the result slices
 	// keeps the pick loop allocation-free.
-	picks := budget
-	if picks > len(cand) {
-		picks = len(cand)
-	}
+	picks := min(sp.budget, len(cand))
 	res.Users = make([]profile.UserID, 0, picks)
 	res.Marginals = make([]float64, 0, picks)
 
@@ -107,17 +129,19 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		tim.InitNs += time.Since(t0).Nanoseconds()
 	}
 
-	for i := 0; i < budget && len(cand) > 0; i++ {
-		// Line 5: arg max marginal over the candidate list, ties toward the
-		// lowest index.
+	for i := 0; i < sp.budget && len(cand) > 0; i++ {
+		// Line 5: arg max marginal over the candidate list.
 		if tim != nil {
 			tim.Picks++
 			t0 = time.Now()
 		}
 		var bi int
-		if workers > 1 && len(cand) >= engineParallelCutoff {
+		switch {
+		case sp.rng != nil:
+			bi = randomTieArgmax(cand, marg, sp.rng)
+		case workers > 1 && len(cand) >= engineParallelCutoff:
 			bi = parallelArgmax(cand, marg, workers, tim)
-		} else {
+		default:
 			bm := marg[cand[0]]
 			for j := 1; j < len(cand); j++ {
 				if marg[cand[j]] > bm {
@@ -135,34 +159,31 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		res.Users = append(res.Users, profile.UserID(best))
 		res.Marginals = append(res.Marginals, marg[best])
 		res.Score += marg[best]
-		// Lines 7-10: decrement coverage; on saturation, retract the group's
-		// weight from every member's marginal. Members no longer candidates
-		// are retracted too — their marginals are never read again — which
-		// removes the per-member candidacy branch from the hot loop. Groups
-		// retract in ascending order, one subtraction per member, so
-		// candidate marginals round identically to the sequential engine.
+
+		// Lines 7-10: advance each of best's groups one schedule step and
+		// retract the credit drop from the group's members.
 		if tim != nil {
 			t0 = time.Now()
 		}
 		for _, g := range csr.UserGroups(profile.UserID(best)) {
-			if cov[g] <= 0 {
+			t := cnt[g]
+			cnt[g] = t + 1
+			w, nw := credit(int(g), t), credit(int(g), t+1)
+			if nw == w {
 				continue
 			}
-			cov[g]--
-			if cov[g] == 0 {
-				w := inst.Wei[g]
-				members := csr.Members(g)
-				res.Evaluations += len(members)
-				if workers > 1 && len(members) >= engineParallelCutoff {
-					shardRange(len(members), workers, func(lo, hi int) {
-						for _, m := range members[lo:hi] {
-							marg[m] -= w
-						}
-					})
-				} else {
-					for _, m := range members {
-						marg[m] -= w
+			d := w - nw
+			members := csr.Members(g)
+			res.Evaluations += len(members)
+			if workers > 1 && len(members) >= engineParallelCutoff {
+				shardRange(len(members), workers, func(lo, hi int) {
+					for _, m := range members[lo:hi] {
+						marg[m] -= d
 					}
+				})
+			} else {
+				for _, m := range members {
+					marg[m] -= d
 				}
 			}
 		}
@@ -171,6 +192,45 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		}
 	}
 	return res
+}
+
+// startRow returns a private copy of the marginals before the first pick:
+// the seed, the instance's memoized base row, or a fresh rule sum. The first
+// two are shared (by every later select on a state, by concurrent requests
+// on an epoch), so they are copied, never written.
+func (sp *greedySpec) startRow(inst *groups.Instance, r *Rule) []float64 {
+	var shared []float64
+	switch {
+	case sp.seed != nil:
+		shared = sp.seed
+	case sp.t0 == nil && r.def:
+		shared = inst.BaseMarginals()
+	default:
+		return r.baseFrom(inst, sp.t0)
+	}
+	marg := make([]float64, len(shared))
+	copy(marg, shared)
+	return marg
+}
+
+// randomTieArgmax returns the position in cand of a greatest marginal,
+// chosen uniformly among ties by reservoir sampling over an ascending scan:
+// the k-th tied candidate replaces the incumbent with probability 1/k.
+func randomTieArgmax(cand []int32, marg []float64, rng *rand.Rand) int {
+	bi, ties := 0, 1
+	bm := marg[cand[0]]
+	for j := 1; j < len(cand); j++ {
+		switch v := marg[cand[j]]; {
+		case v > bm:
+			bm, bi, ties = v, j, 1
+		case v == bm:
+			ties++
+			if rng.Intn(ties) == 0 {
+				bi = j
+			}
+		}
+	}
+	return bi
 }
 
 // shardRange splits [0,n) into at most `workers` contiguous chunks and runs

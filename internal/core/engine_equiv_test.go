@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"podium/internal/groups"
+	"podium/internal/profile"
 	"podium/internal/stats"
 )
 
@@ -30,7 +31,7 @@ func resultsIdentical(a, b *Result) bool {
 	return true
 }
 
-// TestEngineEquivalenceProperty holds the CSR engine to the pre-engine
+// TestEngineEquivalenceProperty holds the greedy loop to the pre-engine
 // implementation across 50 random instances: varying seeds, all three weight
 // schemes, both coverage schemes, and nil/dense/sparse allowed masks. At
 // every Parallelism in {1, 2, 8} the engine must reproduce ReferenceGreedy's
@@ -75,20 +76,6 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 					got.Users, got.Marginals, got.Score)
 			}
 		}
-		// The lazy variant shares the tie-break total order; require the same
-		// selection in the same order at each Parallelism (its marginals are
-		// recomputed sums, identical here because nothing reorders the row).
-		for _, par := range []int{1, 2, 8} {
-			lazy := LazyGreedyRestrictedOpts(inst, budget, allowed, Options{Parallelism: par})
-			if len(lazy.Users) != len(want.Users) {
-				t.Fatalf("instance %d parallelism=%d: lazy selected %v, reference %v", i, par, lazy.Users, want.Users)
-			}
-			for j := range lazy.Users {
-				if lazy.Users[j] != want.Users[j] {
-					t.Fatalf("instance %d parallelism=%d: lazy selected %v, reference %v", i, par, lazy.Users, want.Users)
-				}
-			}
-		}
 	}
 }
 
@@ -123,5 +110,41 @@ func TestEngineEquivalenceCustomPath(t *testing.T) {
 					seed, par, want.Users, want.Marginals, got.Users, got.Marginals)
 			}
 		}
+	}
+}
+
+// TestEveryEntryPointReportsStages: every entry point runs the one greedy
+// loop, so each writes StageTimings when asked — under every rule, on the
+// seeded SelectorState path included.
+func TestEveryEntryPointReportsStages(t *testing.T) {
+	inst := randomInstance(17, 120, 10, groups.WeightLBS, groups.CoverSingle, 6)
+	for _, r := range Rules() {
+		st := NewSelectorStateRule(r)
+		st.Sync(inst, nil, true)
+		for name, run := range map[string]func(Options) (*Result, error){
+			"rule": func(o Options) (*Result, error) { return GreedyRule(inst, 6, r, o) },
+			"merge": func(o Options) (*Result, error) {
+				return MergeGreedyRule(inst, []profile.UserID{1, 5, 9, 30, 44, 70}, 6, r, o)
+			},
+			"complete": func(o Options) (*Result, error) {
+				return GreedyCompleteRule(inst, 4, []profile.UserID{2, 3}, nil, r, o)
+			},
+			"selector": func(o Options) (*Result, error) { return st.Select(inst, 6, o), nil },
+		} {
+			var tim StageTimings
+			if _, err := run(Options{Timings: &tim}); err != nil {
+				t.Fatal(err)
+			}
+			if tim.Runs != 1 || tim.Picks == 0 {
+				t.Errorf("rule %s %s: stage timings %+v, want one run with picks", r.Name(), name, tim)
+			}
+		}
+	}
+	var tim StageTimings
+	if _, err := GreedyCustomOpts(inst, Feedback{Priority: []groups.GroupID{0}}, 6, Options{Timings: &tim}); err != nil {
+		t.Fatal(err)
+	}
+	if tim.Runs != 1 || tim.Picks == 0 {
+		t.Errorf("custom: stage timings %+v, want one run with picks", tim)
 	}
 }

@@ -1,9 +1,9 @@
 // Package core implements the paper's primary contribution: solving
 // BASE-DIVERSITY (Definition 3.3) and CUSTOM-DIVERSITY (Section 6). The
 // problem is NP-complete (Prop. 4.1), so the package provides the (1−1/e)
-// greedy approximation of Algorithm 1 together with three refinements the
-// paper's analysis licenses — a lazy-evaluation variant (valid by
-// submodularity), an exact arithmetic path for EBS weights (whose float64
+// greedy approximation of Algorithm 1 — one loop behind every entry point
+// and pluggable rule (engine.go) — together with two refinements the paper's
+// analysis licenses: an exact arithmetic path for EBS weights (whose float64
 // form overflows), and exhaustive / branch-and-bound optimal solvers used to
 // measure the empirical approximation ratio (Section 8.4).
 package core
@@ -23,9 +23,9 @@ type Result struct {
 	// was selected; Score == Σ Marginals up to float rounding. Explanations
 	// use it to show each user's contribution.
 	Marginals []float64
-	// Evaluations counts user↔group link traversals performed while
-	// computing or maintaining marginal contributions — a machine-
-	// independent work measure for comparing the eager and lazy variants.
+	// Evaluations counts user↔group link traversals spent maintaining
+	// marginal contributions (optimal.go counts search nodes instead) — a
+	// machine-independent work measure.
 	Evaluations int
 }
 
@@ -36,9 +36,9 @@ type Result struct {
 // Instances with EBS weights are routed to the exact rank-vector
 // implementation, since their float64 weights overflow beyond ~300 groups.
 //
-// Execution is delegated to the CSR engine (engine.go); the pre-engine
+// Execution is the shared greedy loop (engine.go); the pre-engine
 // implementation survives as ReferenceGreedy, which the equivalence property
-// tests hold the engine to bit for bit.
+// tests hold the loop to bit for bit.
 func Greedy(inst *groups.Instance, budget int) *Result {
 	return GreedyRestrictedOpts(inst, budget, nil, Options{})
 }
@@ -58,8 +58,5 @@ func GreedyRestricted(inst *groups.Instance, budget int, allowed []bool) *Result
 
 // GreedyRestrictedOpts is GreedyRestricted with explicit engine Options.
 func GreedyRestrictedOpts(inst *groups.Instance, budget int, allowed []bool, opt Options) *Result {
-	if inst.EBS {
-		return ebsGreedy(inst, budget, allowed)
-	}
-	return engineGreedy(inst, budget, allowed, opt)
+	return greedy(inst, greedySpec{budget: budget, allowed: allowed, opt: opt})
 }

@@ -170,40 +170,6 @@ func TestGreedyMarginalsNonIncreasing(t *testing.T) {
 	}
 }
 
-func TestLazyGreedyMatchesEager(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		for _, ws := range []groups.WeightScheme{groups.WeightIden, groups.WeightLBS} {
-			for _, cs := range []groups.CoverageScheme{groups.CoverSingle, groups.CoverProp} {
-				inst := randomInstance(seed, 40, 8, ws, cs, 7)
-				eager := Greedy(inst, 7)
-				lazy := LazyGreedy(inst, 7)
-				if !usersEqual(eager.Users, lazy.Users) {
-					t.Fatalf("seed %d %v/%v: eager %v vs lazy %v", seed, ws, cs, eager.Users, lazy.Users)
-				}
-				if math.Abs(eager.Score-lazy.Score) > 1e-6 {
-					t.Fatalf("seed %d: score %v vs %v", seed, eager.Score, lazy.Score)
-				}
-			}
-		}
-	}
-}
-
-func TestLazyGreedyWorkAccounting(t *testing.T) {
-	// Both variants report their link-traversal work; which is cheaper is
-	// instance-dependent (see the LazyGreedy doc comment), so assert only
-	// that the accounting is sane and the outputs match.
-	inst := randomInstance(1, 300, 20, groups.WeightLBS, groups.CoverSingle, 10)
-	eager := Greedy(inst, 10)
-	lazy := LazyGreedy(inst, 10)
-	if eager.Evaluations <= 0 || lazy.Evaluations <= 0 {
-		t.Fatalf("work counters not populated: eager %d, lazy %d", eager.Evaluations, lazy.Evaluations)
-	}
-	t.Logf("link traversals: eager %d, lazy %d", eager.Evaluations, lazy.Evaluations)
-	if !usersEqual(eager.Users, lazy.Users) {
-		t.Fatal("results differ")
-	}
-}
-
 func TestEBSGreedyMatchesFloatWhenRepresentable(t *testing.T) {
 	// With few groups, EBS float weights are exact; the bitset path must
 	// agree with a float greedy run over the same weights.

@@ -5,7 +5,7 @@ import (
 	"podium/internal/profile"
 )
 
-// SelectorState persists the lazy-greedy engine's inputs across snapshot
+// SelectorState persists the greedy loop's start row across snapshot
 // epochs so a steady stream of selections under live writes costs O(Δ) per
 // mutation batch instead of O(links) per epoch.
 //
@@ -25,7 +25,8 @@ import (
 // group order, adding an effective weight of +0.0 for groups with no
 // remaining coverage requirement, which is exact for finite partial sums — so
 // a repaired base array is bit-identical to a freshly computed one, and the
-// seeded lazy-greedy run (lazy.go) therefore returns bit-identical selections.
+// greedy loop seeded from a copy of it (engine.go) therefore returns
+// bit-identical selections.
 // The property tests in incremental_test.go enforce this per mutation batch.
 //
 // Fallbacks are conservative: EBS instances (whose weights depend on the
@@ -201,17 +202,16 @@ func (st *SelectorState) recompute(inst *groups.Instance, newEff []float64) {
 	st.Recomputes++
 }
 
-// Select runs a lazy-greedy selection seeded from the synced base state. The
-// caller must have Synced against the same inst. The result is bit-identical
-// to a fresh lazy (and therefore eager) greedy under the state's rule on
-// inst; opt is consulted only on the fallback paths — the seeded run's heap
-// build is an O(n) copy with nothing worth sharding. EBS instances fall back
-// to the exact path, which only the default rule supports (rule-aware
-// callers gate EBS upstream).
+// Select runs the greedy loop under the state's rule, starting from a copy
+// of the synced base (the base itself is never written, so every later
+// select reuses it). The caller must have Synced against the same inst. The
+// result is bit-identical to a fresh GreedyRule run on inst. EBS instances
+// keep no base and run unseeded: coverage takes the exact path, and other
+// rules must be EBS-compatible (rule-aware callers gate EBS upstream).
 func (st *SelectorState) Select(inst *groups.Instance, budget int, opt Options) *Result {
-	r := st.rule.OrDefault()
-	if inst.EBS || st.base == nil || len(st.base) != inst.Index.Repo().NumUsers() {
-		return lazyGreedyRule(inst, budget, nil, r, opt)
+	sp := greedySpec{budget: budget, rule: st.rule, opt: opt}
+	if len(st.base) == inst.Index.Repo().NumUsers() {
+		sp.seed = st.base
 	}
-	return lazySeededRule(inst, budget, st.base, r)
+	return greedy(inst, sp)
 }

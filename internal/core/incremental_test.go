@@ -53,13 +53,14 @@ func applyRandomBatch(t *testing.T, rng *rand.Rand, repo *profile.Repository, ix
 	}
 }
 
-// Property: a delta-repaired SelectorState is bit-identical to fresh
-// LazyGreedy (and the eager engine) after every randomized mutation batch.
+// Property: a delta-repaired SelectorState is bit-identical to the reference
+// greedy (and a fresh engine run) after every randomized mutation batch.
 // 50 instances across all three synthetic presets and all scheme pairs,
 // checked at parallelism 1/2/8 after each of four batches per instance —
 // including a reshaping batch (new property) and an oversized batch that
 // exercises the conservative full-recompute fallback.
 func TestSelectorStateBitIdentity(t *testing.T) {
+	forceShardedPaths(t)
 	const budget = 6
 	wss := []groups.WeightScheme{groups.WeightLBS, groups.WeightIden, groups.WeightEBS}
 	css := []groups.CoverageScheme{groups.CoverSingle, groups.CoverProp}
@@ -90,16 +91,13 @@ func TestSelectorStateBitIdentity(t *testing.T) {
 
 			check := func(round int, inst *groups.Instance) {
 				t.Helper()
-				want := LazyGreedyOpts(inst, budget, Options{})
-				if eager := GreedyOpts(inst, budget, Options{}); !sameResult(want, eager) {
-					t.Fatalf("round %d: lazy vs eager diverged", round)
-				}
+				want := ReferenceGreedy(inst, budget, nil)
 				for _, par := range []int{1, 2, 8} {
-					if fresh := LazyGreedyOpts(inst, budget, Options{Parallelism: par}); !sameResult(want, fresh) {
-						t.Fatalf("round %d: fresh lazy diverged at parallelism %d", round, par)
+					if fresh := GreedyOpts(inst, budget, Options{Parallelism: par}); !sameResult(want, fresh) {
+						t.Fatalf("round %d: fresh greedy diverged from reference at parallelism %d", round, par)
 					}
 					if got := st.Select(inst, budget, Options{Parallelism: par}); !sameResult(want, got) {
-						t.Fatalf("round %d: repaired state diverged from fresh LazyGreedy at parallelism %d", round, par)
+						t.Fatalf("round %d: repaired state diverged from reference at parallelism %d", round, par)
 					}
 				}
 			}

@@ -1,32 +1,41 @@
 package core
 
 import (
+	"fmt"
+
 	"podium/internal/groups"
 	"podium/internal/profile"
 )
 
-// The second round of GreeDi-style two-round distributed greedy (Mirzasoleiman
-// et al.): shard executors each run greedy of size k over their partition of
-// the population, and the merge round runs *exact* greedy over the union of
-// the shard winners, evaluated on the full instance. Because score_𝒢 is
-// monotone submodular (Prop. 4.2), the composition carries a constant-factor
-// guarantee of the (1−1/e)·(1−1/e) shape relative to the optimum — each round
-// individually is a (1−1/e) greedy over a restricted ground set that contains
-// a near-optimal subset. The harness below measures the empirical ratio
-// against single-node greedy, which the dist bench reports.
-
-// MergeGreedy runs the merge round: exact greedy of size budget over the
-// union of per-shard winner sets, restricted on the full-population instance
-// so marginals are evaluated against global coverage. Duplicate candidates
-// (a user cannot be on two shards, but callers may merge overlapping lists)
-// collapse into the allowed mask. Options tune execution only; the result is
-// deterministic for a fixed candidate set.
-func MergeGreedy(inst *groups.Instance, candidates []profile.UserID, budget int, opt Options) (*Result, error) {
+// MergeGreedyRule runs the second round of GreeDi-style two-round distributed
+// greedy (Mirzasoleiman et al.) under a pluggable rule, nil meaning coverage:
+// shard executors each run greedy of size k over their partition of the
+// population, and the merge round runs exact greedy of size budget over the
+// union of the shard winners, evaluated on the full instance so marginals
+// see global coverage. Because every credit-schedule objective is monotone
+// submodular (Prop. 4.2 for coverage), the composition carries a
+// constant-factor guarantee of the (1−1/e)·(1−1/e) shape. Duplicate
+// candidates collapse into the allowed mask.
+func MergeGreedyRule(inst *groups.Instance, candidates []profile.UserID, budget int, r *Rule, opt Options) (*Result, error) {
 	allowed, err := candidateMask(inst, candidates)
 	if err != nil {
 		return nil, err
 	}
-	return GreedyRestrictedOpts(inst, budget, allowed, opt), nil
+	return GreedyRestrictedRule(inst, budget, allowed, r, opt)
+}
+
+// candidateMask validates merge candidates against the population and folds
+// them into an allowed mask (duplicates collapse).
+func candidateMask(inst *groups.Instance, candidates []profile.UserID) ([]bool, error) {
+	n := inst.Index.Repo().NumUsers()
+	allowed := make([]bool, n)
+	for _, u := range candidates {
+		if int(u) < 0 || int(u) >= n {
+			return nil, fmt.Errorf("core: merge candidate %d outside population of %d", u, n)
+		}
+		allowed[u] = true
+	}
+	return allowed, nil
 }
 
 // MergeProof is the proof-harness record for one instance: the merged
@@ -43,10 +52,11 @@ type MergeProof struct {
 	Ratio float64
 }
 
-// ProveMerge runs the harness: two-round selection through the given
-// candidate union vs. single-node greedy on the full instance.
+// ProveMerge runs the harness: the coverage merge round (MergeGreedyRule)
+// through the given candidate union vs. single-node greedy on the full
+// instance. The dist bench reports the ratio.
 func ProveMerge(inst *groups.Instance, candidates []profile.UserID, budget int, opt Options) (*Result, MergeProof, error) {
-	merged, err := MergeGreedy(inst, candidates, budget, opt)
+	merged, err := MergeGreedyRule(inst, candidates, budget, nil, opt)
 	if err != nil {
 		return nil, MergeProof{}, err
 	}

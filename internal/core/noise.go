@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"podium/internal/groups"
 	"podium/internal/profile"
 	"podium/internal/stats"
@@ -25,10 +23,11 @@ type Noise struct {
 }
 
 // NoisyGreedy runs Algorithm 1 on a weight-perturbed copy of the instance,
-// optionally with randomized tie-breaking. With zero noise and RandomTies
-// false it reproduces Greedy exactly. The reported Score is always measured
-// under the *original* weights, so results across noise levels are
-// comparable.
+// optionally with randomized tie-breaking (uniform over the argmax set). With
+// zero noise and RandomTies false it reproduces Greedy exactly; EBS instances
+// without weight noise take Greedy's exact path, where ties cannot occur
+// (ranks are unique). The reported Score is always measured under the
+// *original* weights, so results across noise levels are comparable.
 func NoisyGreedy(inst *groups.Instance, budget int, noise Noise) *Result {
 	rng := stats.NewRand(noise.Seed)
 	work := inst
@@ -47,81 +46,13 @@ func NoisyGreedy(inst *groups.Instance, budget int, noise Noise) *Result {
 		// not apply to them.
 		work = &groups.Instance{Index: inst.Index, Wei: wei, Cov: cov}
 	}
-	res := greedyWithTies(work, budget, noise.RandomTies, rng)
+	sp := greedySpec{budget: budget}
+	if noise.RandomTies {
+		sp.rng = rng
+	}
+	res := greedy(work, sp)
 	// Re-score under the true objective.
 	res.Score = inst.Score(res.Users)
-	return res
-}
-
-// greedyWithTies is Algorithm 1 with a pluggable tie-break: deterministic
-// (lowest index) or uniform over the argmax set via reservoir sampling.
-func greedyWithTies(inst *groups.Instance, budget int, randomTies bool, rng *rand.Rand) *Result {
-	ix := inst.Index
-	n := ix.Repo().NumUsers()
-	res := &Result{}
-	if budget <= 0 || n == 0 {
-		return res
-	}
-	marg := make([]float64, n)
-	candidate := make([]bool, n)
-	numCandidates := 0
-	for u := 0; u < n; u++ {
-		candidate[u] = true
-		numCandidates++
-		gs := ix.UserGroups(profile.UserID(u))
-		res.Evaluations += len(gs)
-		for _, g := range gs {
-			if inst.Cov[g] > 0 {
-				marg[u] += inst.Wei[g]
-			}
-		}
-	}
-	cov := make([]int, len(inst.Cov))
-	copy(cov, inst.Cov)
-	for i := 0; i < budget; i++ {
-		if numCandidates == 0 {
-			break
-		}
-		best := -1
-		ties := 0
-		for u := 0; u < n; u++ {
-			if !candidate[u] {
-				continue
-			}
-			switch {
-			case best < 0 || marg[u] > marg[best]:
-				best = u
-				ties = 1
-			case randomTies && marg[u] == marg[best]:
-				// Reservoir sampling over the argmax set: each tied user
-				// ends up selected with probability 1/ties.
-				ties++
-				if rng.Intn(ties) == 0 {
-					best = u
-				}
-			}
-		}
-		candidate[best] = false
-		numCandidates--
-		res.Users = append(res.Users, profile.UserID(best))
-		res.Marginals = append(res.Marginals, marg[best])
-		res.Score += marg[best]
-		for _, g := range ix.UserGroups(profile.UserID(best)) {
-			if cov[g] <= 0 {
-				continue
-			}
-			cov[g]--
-			if cov[g] == 0 {
-				w := inst.Wei[g]
-				for _, member := range ix.Group(g).Members {
-					if candidate[member] {
-						marg[member] -= w
-						res.Evaluations++
-					}
-				}
-			}
-		}
-	}
 	return res
 }
 

@@ -87,7 +87,9 @@ func TestSelectionValidityProperty(t *testing.T) {
 		case 0:
 			return check(Greedy(inst, b).Users, b)
 		case 1:
-			return check(LazyGreedy(inst, b).Users, b)
+			st := NewSelectorState()
+			st.Sync(inst, nil, true)
+			return check(st.Select(inst, b, Options{}).Users, b)
 		case 2:
 			return check(NoisyGreedy(inst, b, Noise{Seed: noiseSeed, WeightStdDev: 0.4, RandomTies: true}).Users, b)
 		default:

@@ -16,7 +16,7 @@ import (
 // EBS instances route to the shared exact rank-vector path, as the seed did.
 func ReferenceGreedy(inst *groups.Instance, budget int, allowed []bool) *Result {
 	if inst.EBS {
-		return ebsGreedy(inst, budget, allowed)
+		return ebsGreedy(inst, budget, allowed, nil)
 	}
 	ix := inst.Index
 	n := ix.Repo().NumUsers()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"podium/internal/groups"
 	"podium/internal/profile"
@@ -16,19 +15,18 @@ import (
 //
 // non-increasing in t. The rule objective Σ_G Σ_{t<|U∩G|} w_G(t) is then
 // monotone submodular by construction — a user's marginal contribution
-// Σ_{G∋u} w_G(t_G) only shrinks as the selection grows — so every
-// acceleration the coverage engine earned carries over unchanged: Minoux's
-// lazy greedy stays valid (stale keys remain upper bounds), the delta-repaired
-// SelectorState stays exact (base rows are plain sums of initial credits), and
-// the GreeDi merge round keeps its constant-factor composition.
+// Σ_{G∋u} w_G(t_G) only shrinks as the selection grows — so one greedy loop
+// (engine.go) serves every rule with the (1−1/e) guarantee, the
+// delta-repaired SelectorState stays exact (base rows are plain sums of
+// initial credits), and the GreeDi merge round keeps its constant-factor
+// composition.
 //
 // The registered rules:
 //
 //   - coverage (default): w_G(t) = wei(G) while t < cov(G), then 0 — exactly
-//     the paper's score_𝒢 objective (Definition 3.3), and exactly what the
-//     cov-saturation loop in engine.go implements. The default rule keeps
-//     running through that engine, so its selections are bit-identical to
-//     every release before rules existed.
+//     the paper's score_𝒢 objective (Definition 3.3): the credit drops by
+//     wei(G) once, when the group saturates. On EBS instances it runs the
+//     exact rank-vector path (ebs.go).
 //   - harmonic: w_G(t) = wei(G)/(t+1) — proportional (diminishing) credit in
 //     the spirit of proportional-approval weighting: the k-th member of a
 //     group is worth 1/k of the first, so large groups keep attracting
@@ -43,15 +41,16 @@ import (
 //     optimizing coverage — the CustomInstance tiering idiom applied to
 //     per-group floors. Past the floor the schedule is the coverage schedule.
 //
-// Bit-identity across paths: the repository's engines agree bit for bit
-// because their float arithmetic is exact — standard weights are integers, so
-// eager retraction (base − Σ d) and lazy fresh sums (Σ curW) compute the same
-// reals with no rounding. Harmonic credits are not integers, so they are
-// quantized to dyadic rationals (multiples of 2⁻²⁰): sums and differences of
-// dyadics at one scale are exact in float64, restoring the same
+// Bit-identity across paths: the loop's retraction (base − Σ d), a
+// SelectorState's repaired row sums and a naive fresh sum of current credits
+// compute the same reals with no rounding, because the arithmetic is exact —
+// standard weights are integers. Harmonic credits are not integers, so they
+// are quantized to dyadic rationals (multiples of 2⁻²⁰): sums and differences
+// of dyadics at one scale are exact in float64, restoring the same
 // every-path-agrees property for every rule. The rules property suite
-// (rules_test.go) enforces it across Greedy, LazyGreedy, SelectorState repair
-// and MergeGreedy at parallelism 1, 2 and 8.
+// (rules_test.go) enforces it against a naive re-summing greedy across
+// GreedyRule, SelectorState repair and MergeGreedyRule at parallelism 1, 2
+// and 8.
 
 // creditFunc is one instance-bound credit schedule: w_G(t) for group g after
 // t of its members have been selected. Implementations must be non-increasing
@@ -95,7 +94,7 @@ const creditQuantumBits = 20
 
 // quantizeCredit rounds x to the nearest multiple of 2⁻²⁰. All engine
 // arithmetic over quantized credits — base-row sums, retraction differences,
-// lazy refreshes — is exact in float64 (dyadic rationals on one grid), which
+// repaired rows — is exact in float64 (dyadic rationals on one grid), which
 // is what keeps every execution path bit-identical per rule.
 func quantizeCredit(x float64) float64 {
 	const q = 1 << creditQuantumBits
@@ -216,7 +215,7 @@ func (r *Rule) OrDefault() *Rule {
 	return r
 }
 
-// checkInstance rejects rule/instance combinations the engines cannot run
+// checkInstance rejects rule/instance combinations the greedy loop cannot run
 // exactly (weight-reading rules on EBS instances, whose float weights
 // overflow).
 func (r *Rule) checkInstance(inst *groups.Instance) error {
@@ -224,16 +223,6 @@ func (r *Rule) checkInstance(inst *groups.Instance) error {
 		return fmt.Errorf("core: rule %q does not support EBS weights (exact rank arithmetic implements only the coverage objective)", r.name)
 	}
 	return nil
-}
-
-// baseMarginals returns marg_{u,∅} under r: Σ_{G∋u} w_G(0). The default rule
-// aliases the instance's memoized BaseMarginals (callers must not mutate);
-// other rules compute a fresh slice the caller owns.
-func (r *Rule) baseMarginals(inst *groups.Instance) []float64 {
-	if r.def {
-		return inst.BaseMarginals()
-	}
-	return r.baseFrom(inst, nil)
 }
 
 // baseFrom computes per-user base marginals with each group's schedule
@@ -275,240 +264,61 @@ func (r *Rule) initialCredits(inst *groups.Instance) []float64 {
 	return eff
 }
 
-// creditGreedy is the generalized eager engine: engineGreedy's structure —
-// compacted candidate list, deterministic (optionally sharded) argmax,
-// retraction on credit change — driven by a rule's credit schedule instead of
-// the cov-saturation special case. Per group it tracks the selected-member
-// count and the current credit; when a pick moves a group down its schedule,
-// the credit delta is retracted from every member's marginal, exactly one
-// subtraction per (group, member) pair in ascending group order, so sharded
-// and sequential runs round identically. t0, when non-nil, pre-advances each
-// group's schedule (resuming from a partial panel — see GreedyCompleteRule).
-//
-// The default rule does not route here in production (engine.go serves it,
-// preserving the memoized-BaseMarginals fast path and historical Evaluations
-// accounting bit for bit); the property suite still cross-checks this engine
-// against it.
-func creditGreedy(inst *groups.Instance, budget int, allowed []bool, t0 []int, r *Rule, opt Options) *Result {
-	ix := inst.Index
-	n := ix.Repo().NumUsers()
-	res := &Result{}
-	if budget <= 0 || n == 0 {
-		return res
-	}
-	csr := ix.CSR()
-	workers := opt.workerCount()
-	credit := r.credits(inst)
-	nG := ix.NumGroups()
-
-	tim := opt.Timings
-	var t0c time.Time
-	if tim != nil {
-		tim.Runs++
-		t0c = time.Now()
-	}
-
-	cand := make([]int32, 0, n)
-	for u := 0; u < n; u++ {
-		if allowed == nil || allowed[u] {
-			cand = append(cand, int32(u))
-		}
-	}
-	if len(cand) == 0 {
-		return res
-	}
-
-	var marg []float64
-	if t0 == nil && r.def {
-		marg = make([]float64, n)
-		copy(marg, inst.BaseMarginals())
-	} else {
-		marg = r.baseFrom(inst, t0)
-	}
-	for _, cu := range cand {
-		res.Evaluations += csr.UserDegree(profile.UserID(cu))
-	}
-
-	// Schedule position and current credit per group.
-	cnt := make([]int, nG)
-	curW := make([]float64, nG)
-	for g := 0; g < nG; g++ {
-		t := 0
-		if t0 != nil {
-			t = t0[g]
-			cnt[g] = t
-		}
-		curW[g] = credit(g, t)
-	}
-
-	picks := budget
-	if picks > len(cand) {
-		picks = len(cand)
-	}
-	res.Users = make([]profile.UserID, 0, picks)
-	res.Marginals = make([]float64, 0, picks)
-
-	if tim != nil {
-		tim.InitNs += time.Since(t0c).Nanoseconds()
-	}
-
-	for i := 0; i < budget && len(cand) > 0; i++ {
-		if tim != nil {
-			tim.Picks++
-			t0c = time.Now()
-		}
-		var bi int
-		if workers > 1 && len(cand) >= engineParallelCutoff {
-			bi = parallelArgmax(cand, marg, workers, tim)
-		} else {
-			bm := marg[cand[0]]
-			for j := 1; j < len(cand); j++ {
-				if marg[cand[j]] > bm {
-					bm = marg[cand[j]]
-					bi = j
-				}
-			}
-		}
-		if tim != nil {
-			tim.ArgmaxNs += time.Since(t0c).Nanoseconds()
-		}
-		best := int(cand[bi])
-		cand = append(cand[:bi], cand[bi+1:]...)
-		res.Users = append(res.Users, profile.UserID(best))
-		res.Marginals = append(res.Marginals, marg[best])
-		res.Score += marg[best]
-		if tim != nil {
-			t0c = time.Now()
-		}
-		for _, g := range csr.UserGroups(profile.UserID(best)) {
-			t := cnt[g] + 1
-			cnt[g] = t
-			nw := credit(int(g), t)
-			if nw == curW[g] {
-				continue
-			}
-			d := curW[g] - nw
-			curW[g] = nw
-			members := csr.Members(g)
-			res.Evaluations += len(members)
-			if workers > 1 && len(members) >= engineParallelCutoff {
-				shardRange(len(members), workers, func(lo, hi int) {
-					for _, m := range members[lo:hi] {
-						marg[m] -= d
-					}
-				})
-			} else {
-				for _, m := range members {
-					marg[m] -= d
-				}
-			}
-		}
-		if tim != nil {
-			tim.RetractNs += time.Since(t0c).Nanoseconds()
-		}
-	}
-	return res
-}
-
-// GreedyRule runs Algorithm 1 under a pluggable rule. A nil rule selects the
-// default (coverage), which executes through exactly the same engine as
-// Greedy — bit-identical selections. Other rules run the generalized credit
-// engine; EBS instances accept only EBS-compatible rules.
+// GreedyRule runs Algorithm 1 under a pluggable rule; a nil rule selects the
+// default (coverage), bit-identical to Greedy. EBS instances accept only
+// EBS-compatible rules.
 func GreedyRule(inst *groups.Instance, budget int, r *Rule, opt Options) (*Result, error) {
 	return GreedyRestrictedRule(inst, budget, nil, r, opt)
 }
 
 // GreedyRestrictedRule is GreedyRule over a restricted candidate set.
 func GreedyRestrictedRule(inst *groups.Instance, budget int, allowed []bool, r *Rule, opt Options) (*Result, error) {
-	r = r.OrDefault()
-	if err := r.checkInstance(inst); err != nil {
-		return nil, err
-	}
-	if r.def {
-		return GreedyRestrictedOpts(inst, budget, allowed, opt), nil
-	}
-	if inst.EBS && !r.ebsOK {
-		// Unreachable after checkInstance; kept as a structural guard.
-		return nil, r.checkInstance(inst)
-	}
-	return creditGreedy(inst, budget, allowed, nil, r, opt), nil
+	return greedyRule(inst, greedySpec{budget: budget, allowed: allowed, rule: r, opt: opt})
 }
 
-// LazyGreedyRule is Minoux's accelerated greedy under a pluggable rule —
-// valid for every registered rule because credit schedules are non-increasing
-// (stale heap keys stay upper bounds). Selections are bit-identical to
-// GreedyRule for the same rule.
-func LazyGreedyRule(inst *groups.Instance, budget int, allowed []bool, r *Rule, opt Options) (*Result, error) {
-	r = r.OrDefault()
-	if err := r.checkInstance(inst); err != nil {
+// greedyRule rejects rule/instance combinations the loop cannot run exactly,
+// then runs it.
+func greedyRule(inst *groups.Instance, sp greedySpec) (*Result, error) {
+	if err := sp.rule.OrDefault().checkInstance(inst); err != nil {
 		return nil, err
 	}
-	return lazyGreedyRule(inst, budget, allowed, r, opt), nil
+	return greedy(inst, sp), nil
 }
 
-// MergeGreedyRule is the GreeDi merge round under a pluggable rule: exact
-// rule-greedy of size budget over the union of per-shard winners, evaluated
-// on the full instance. The submodularity of every credit-schedule objective
-// carries the same constant-factor composition the coverage merge has.
-func MergeGreedyRule(inst *groups.Instance, candidates []profile.UserID, budget int, r *Rule, opt Options) (*Result, error) {
-	allowed, err := candidateMask(inst, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return GreedyRestrictedRule(inst, budget, allowed, r, opt)
-}
-
-// GreedyCompleteRule tops up a partial panel under a pluggable rule. For the
-// default rule it is exactly GreedyComplete. Other rules resume their credit
-// schedules from the panel: each group's schedule starts at t = |have ∩ G|,
-// which is the rule-general form of the residual-coverage construction (for
-// coverage, advancing the schedule by t hits is reducing cov by t). Members
-// of have never re-enter the candidate pool.
+// GreedyCompleteRule tops up a partial panel under a pluggable rule, nil
+// meaning coverage: it resumes Algorithm 1 from the selection have, over the
+// candidates in allowed (nil: everyone). Each group's schedule starts at
+// t = |have ∩ G| (duplicates in have count once); for coverage that is the
+// residual instance whose requirements the panel's hits already reduced.
+// Members of have never re-enter the candidate pool, and the returned
+// marginals are true marginals with respect to have.
+//
+// This is the coverage-repair primitive of the campaign orchestrator
+// (internal/campaign): after dropouts shrink a solicited panel, the
+// replacement picks chase exactly the credit the dropouts took with them.
 func GreedyCompleteRule(inst *groups.Instance, budget int, have []profile.UserID, allowed []bool, r *Rule, opt Options) (*Result, error) {
-	r = r.OrDefault()
-	if r.def {
-		return GreedyComplete(inst, budget, have, allowed, opt), nil
-	}
-	if err := r.checkInstance(inst); err != nil {
-		return nil, err
-	}
-	ix := inst.Index
-	n := ix.Repo().NumUsers()
-	t0 := make([]int, ix.NumGroups())
-	restricted := make([]bool, n)
-	if allowed == nil {
-		for u := range restricted {
-			restricted[u] = true
+	sp := greedySpec{budget: budget, allowed: allowed, rule: r, opt: opt}
+	if len(have) > 0 {
+		ix := inst.Index
+		n := ix.Repo().NumUsers()
+		sp.t0 = make([]int, ix.NumGroups())
+		sp.allowed = make([]bool, n)
+		for u := range sp.allowed {
+			sp.allowed[u] = allowed == nil || allowed[u]
 		}
-	} else {
-		copy(restricted, allowed)
-	}
-	seen := make(map[profile.UserID]bool, len(have))
-	for _, u := range have {
-		if int(u) < 0 || int(u) >= n || seen[u] {
-			continue
-		}
-		seen[u] = true
-		restricted[u] = false
-		for _, g := range ix.UserGroups(u) {
-			t0[g]++
+		seen := make(map[profile.UserID]bool, len(have))
+		for _, u := range have {
+			if int(u) < 0 || int(u) >= n || seen[u] {
+				continue
+			}
+			seen[u] = true
+			sp.allowed[u] = false
+			for _, g := range ix.UserGroups(u) {
+				sp.t0[g]++
+			}
 		}
 	}
-	return creditGreedy(inst, budget, restricted, t0, r, opt), nil
-}
-
-// candidateMask validates merge candidates against the population and folds
-// them into an allowed mask (duplicates collapse).
-func candidateMask(inst *groups.Instance, candidates []profile.UserID) ([]bool, error) {
-	n := inst.Index.Repo().NumUsers()
-	allowed := make([]bool, n)
-	for _, u := range candidates {
-		if int(u) < 0 || int(u) >= n {
-			return nil, fmt.Errorf("core: merge candidate %d outside population of %d", u, n)
-		}
-		allowed[u] = true
-	}
-	return allowed, nil
+	return greedyRule(inst, sp)
 }
 
 // MustRule is LookupRule for call sites with static rule strings (tests,

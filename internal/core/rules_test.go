@@ -92,40 +92,61 @@ func TestQuantizeCreditDyadic(t *testing.T) {
 	}
 }
 
-// replayScore recomputes a selection's score and per-pick marginals by
-// replaying the rule's credit schedule over the picks in order — an
-// engine-independent accounting that catches any drift in the eager engine's
-// base-minus-retraction arithmetic or the lazy engine's refresh sums.
-func replayScore(inst *groups.Instance, r *Rule, users []profile.UserID) (float64, []float64) {
+// naiveRuleGreedy is the rule-general test oracle: Algorithm 1 with no
+// incremental state. At every pick it re-sums each remaining candidate's row
+// of current credits, ascending, and keeps the first strictly greatest. The
+// credit arithmetic is exact (rules.go), so its floats must equal the loop's
+// base-minus-retraction marginals bit for bit.
+func naiveRuleGreedy(inst *groups.Instance, budget int, allowed []bool, r *Rule) *Result {
 	credit := r.credits(inst)
 	csr := inst.Index.CSR()
+	n := inst.Index.Repo().NumUsers()
 	cnt := make([]int, inst.Index.NumGroups())
-	marg := make([]float64, len(users))
-	var score float64
-	for i, u := range users {
-		var m float64
-		for _, g := range csr.UserGroups(u) {
-			m += credit(int(g), cnt[g])
+	taken := make([]bool, n)
+	res := &Result{}
+	for len(res.Users) < budget {
+		best, bm := -1, 0.0
+		for u := 0; u < n; u++ {
+			if taken[u] || allowed != nil && !allowed[u] {
+				continue
+			}
+			var m float64
+			for _, g := range csr.UserGroups(profile.UserID(u)) {
+				m += credit(int(g), cnt[g])
+			}
+			if best < 0 || m > bm {
+				best, bm = u, m
+			}
 		}
-		for _, g := range csr.UserGroups(u) {
+		if best < 0 {
+			break
+		}
+		taken[best] = true
+		res.Users = append(res.Users, profile.UserID(best))
+		res.Marginals = append(res.Marginals, bm)
+		res.Score += bm
+		for _, g := range csr.UserGroups(profile.UserID(best)) {
 			cnt[g]++
 		}
-		marg[i] = m
-		score += m
 	}
-	return score, marg
+	return res
 }
 
-// checkReplay holds a result to the schedule replay bit for bit.
-func checkReplay(t *testing.T, inst *groups.Instance, r *Rule, res *Result, what string) {
+// checkOracles holds a rule selection to the independent oracles: the naive
+// greedy for every rule the float arithmetic holds exactly (all but coverage
+// on EBS, which runs exact rank vectors) and ReferenceGreedy for coverage.
+func checkOracles(t *testing.T, inst *groups.Instance, budget int, allowed []bool, r *Rule, got *Result, what string) {
 	t.Helper()
-	score, marg := replayScore(inst, r, res.Users)
-	if score != res.Score {
-		t.Fatalf("%s: rule %q score %v, schedule replay %v", what, r.Name(), res.Score, score)
+	if !(inst.EBS && r.IsDefault()) {
+		if naive := naiveRuleGreedy(inst, budget, allowed, r); !resultsIdentical(naive, got) {
+			t.Fatalf("%s: rule %q diverged from the naive greedy\nnaive %v %v\ngot   %v %v",
+				what, r.Name(), naive.Users, naive.Marginals, got.Users, got.Marginals)
+		}
 	}
-	for i := range marg {
-		if marg[i] != res.Marginals[i] {
-			t.Fatalf("%s: rule %q pick %d marginal %v, schedule replay %v", what, r.Name(), i, res.Marginals[i], marg[i])
+	if r.IsDefault() {
+		if ref := ReferenceGreedy(inst, budget, allowed); !resultsIdentical(ref, got) {
+			t.Fatalf("%s: coverage diverged from ReferenceGreedy\nreference %v %v\ngot       %v %v",
+				what, ref.Users, ref.Marginals, got.Users, got.Marginals)
 		}
 	}
 }
@@ -145,11 +166,11 @@ func coveredGroups(inst *groups.Instance, users []profile.UserID) int {
 }
 
 // TestRulesPropertySuite is the per-rule acceptance property: 50 randomized
-// instances per rule, each checked at parallelism 1/2/8 through the eager
-// engine, the lazy engine, and the GreeDi merge round. All paths must agree
-// bit for bit per rule, scores must match an engine-independent schedule
-// replay, and rule-specific invariants (maxcov counting, fairness floors,
-// coverage legacy identity) must hold.
+// instances per rule, each checked at parallelism 1/2/8 through the greedy
+// loop and the GreeDi merge round. Every parallelism must agree bit for bit,
+// selections must match the independent oracles (checkOracles), and
+// rule-specific invariants (maxcov counting, fairness floors, coverage
+// scoring) must hold.
 func TestRulesPropertySuite(t *testing.T) {
 	forceShardedPaths(t)
 	weightSchemes := []groups.WeightScheme{groups.WeightIden, groups.WeightLBS, groups.WeightEBS}
@@ -172,9 +193,6 @@ func TestRulesPropertySuite(t *testing.T) {
 					// working instances.
 					if _, err := GreedyRule(inst, budget, r, Options{}); err == nil {
 						t.Fatalf("instance %d: rule %q accepted an EBS instance", i, r.Name())
-					}
-					if _, err := LazyGreedyRule(inst, budget, nil, r, Options{}); err == nil {
-						t.Fatalf("instance %d: lazy rule %q accepted an EBS instance", i, r.Name())
 					}
 					ws = groups.WeightLBS
 					inst = randomInstance(seed, nUsers, nProps, ws, cs, budget)
@@ -207,36 +225,13 @@ func TestRulesPropertySuite(t *testing.T) {
 						t.Fatalf("instance %d (ws=%v cs=%v n=%d B=%d): eager diverged at parallelism %d\nwant %v %v\ngot  %v %v",
 							i, ws, cs, n, budget, par, want.Users, want.Marginals, eager.Users, eager.Marginals)
 					}
-					lazy, err := LazyGreedyRule(inst, budget, allowed, r, Options{Parallelism: par})
-					if err != nil {
-						t.Fatalf("instance %d parallelism %d: %v", i, par, err)
-					}
-					if !resultsIdentical(want, lazy) {
-						t.Fatalf("instance %d (ws=%v cs=%v n=%d B=%d): lazy diverged at parallelism %d\nwant %v %v\ngot  %v %v",
-							i, ws, cs, n, budget, par, want.Users, want.Marginals, lazy.Users, lazy.Marginals)
-					}
 				}
-				if !inst.EBS {
-					checkReplay(t, inst, r, want, fmt.Sprintf("instance %d", i))
-				}
+				checkOracles(t, inst, budget, allowed, r, want, fmt.Sprintf("instance %d (ws=%v cs=%v)", i, ws, cs))
 
 				// Rule-specific invariants.
 				switch r.Name() {
 				case "coverage":
 					if !inst.EBS {
-						// Legacy identity: the rule must reproduce the pre-rules
-						// engine, and the generalized credit engine must agree
-						// with both (selection, marginals, score — Evaluations
-						// accounting may differ).
-						legacy := GreedyRestrictedOpts(inst, budget, allowed, Options{})
-						if !resultsIdentical(want, legacy) {
-							t.Fatalf("instance %d: coverage rule diverged from legacy engine", i)
-						}
-						cg := creditGreedy(inst, budget, allowed, nil, r, Options{})
-						if !resultsIdentical(want, cg) {
-							t.Fatalf("instance %d: creditGreedy diverged from legacy engine for coverage\nwant %v %v\ngot  %v %v",
-								i, want.Users, want.Marginals, cg.Users, cg.Marginals)
-						}
 						if got := inst.Score(want.Users); got != want.Score {
 							t.Fatalf("instance %d: greedy score %v, Instance.Score %v", i, want.Score, got)
 						}
@@ -286,15 +281,6 @@ func TestRulesPropertySuite(t *testing.T) {
 						t.Fatalf("instance %d: merge diverged at parallelism %d", i, par)
 					}
 				}
-				if r.IsDefault() {
-					legacyMerge, err := MergeGreedy(inst, winners, budget, Options{})
-					if err != nil {
-						t.Fatalf("instance %d: legacy merge: %v", i, err)
-					}
-					if !resultsIdentical(mergedWant, legacyMerge) {
-						t.Fatalf("instance %d: coverage merge diverged from MergeGreedy", i)
-					}
-				}
 			}
 		})
 	}
@@ -342,10 +328,12 @@ func checkFairnessFloor(t *testing.T, inst *groups.Instance, allowed []bool, pic
 
 // TestSelectorStateRuleBitIdentity extends the delta-repair bit-identity
 // property to every registered rule: a repaired per-rule SelectorState must
-// select bit-identically to a fresh rule run after every mutation batch —
+// select bit-identically to a fresh rule run and to the independent oracles
+// after every mutation batch —
 // including a reshaping batch and an oversized batch that forces the
 // recompute fallback. EBS-scheme sweeps run only the EBS-compatible rules.
 func TestSelectorStateRuleBitIdentity(t *testing.T) {
+	forceShardedPaths(t)
 	const budget = 6
 	css := []groups.CoverageScheme{groups.CoverSingle, groups.CoverProp}
 	for _, r := range Rules() {
@@ -382,17 +370,11 @@ func TestSelectorStateRuleBitIdentity(t *testing.T) {
 
 					check := func(round int, inst *groups.Instance) {
 						t.Helper()
-						want, err := LazyGreedyRule(inst, budget, nil, r, Options{})
+						want, err := GreedyRule(inst, budget, r, Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
-						eager, err := GreedyRule(inst, budget, r, Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameResult(want, eager) {
-							t.Fatalf("round %d: lazy vs eager diverged for rule %q", round, r.Name())
-						}
+						checkOracles(t, inst, budget, nil, r, want, fmt.Sprintf("round %d", round))
 						for _, par := range []int{1, 2, 8} {
 							if got := st.Select(inst, budget, Options{Parallelism: par}); !sameResult(want, got) {
 								t.Fatalf("round %d: repaired %q state diverged from fresh run at parallelism %d\nwant %v %v\ngot  %v %v",
@@ -439,8 +421,10 @@ func TestSelectorStateRuleBitIdentity(t *testing.T) {
 // greedy continuation property: completing a prefix of a full run's panel
 // reproduces the remainder of that run exactly — credits depend only on each
 // group's schedule position, so restarting from t0 = |have ∩ G| is
-// indistinguishable from never having stopped.
+// indistinguishable from never having stopped. The top-up runs at
+// parallelism 1, 2 and 8 with the sharded paths forced on.
 func TestGreedyCompleteRuleContinuation(t *testing.T) {
+	forceShardedPaths(t)
 	wss := []groups.WeightScheme{groups.WeightLBS, groups.WeightIden}
 	css := []groups.CoverageScheme{groups.CoverSingle, groups.CoverProp}
 	for _, r := range Rules() {
@@ -458,21 +442,23 @@ func TestGreedyCompleteRuleContinuation(t *testing.T) {
 				}
 				h := 1 + int(seed)%(len(full.Users)-1)
 				have := full.Users[:h]
-				rest, err := GreedyCompleteRule(inst, budget-h, have, nil, r, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
 				want := full.Users[h:]
-				if len(rest.Users) != len(want) {
-					t.Fatalf("rule %q seed %d: completion selected %v, want %v", r.Name(), seed, rest.Users, want)
-				}
-				for j := range want {
-					if rest.Users[j] != want[j] {
-						t.Fatalf("rule %q seed %d: completion selected %v, want %v", r.Name(), seed, rest.Users, want)
+				for _, par := range []int{1, 2, 8} {
+					rest, err := GreedyCompleteRule(inst, budget-h, have, nil, r, Options{Parallelism: par})
+					if err != nil {
+						t.Fatal(err)
 					}
-					if rest.Marginals[j] != full.Marginals[h+j] {
-						t.Fatalf("rule %q seed %d: completion marginal %d = %v, full run %v",
-							r.Name(), seed, j, rest.Marginals[j], full.Marginals[h+j])
+					if len(rest.Users) != len(want) {
+						t.Fatalf("rule %q seed %d par %d: completion selected %v, want %v", r.Name(), seed, par, rest.Users, want)
+					}
+					for j := range want {
+						if rest.Users[j] != want[j] {
+							t.Fatalf("rule %q seed %d par %d: completion selected %v, want %v", r.Name(), seed, par, rest.Users, want)
+						}
+						if rest.Marginals[j] != full.Marginals[h+j] {
+							t.Fatalf("rule %q seed %d par %d: completion marginal %d = %v, full run %v",
+								r.Name(), seed, par, j, rest.Marginals[j], full.Marginals[h+j])
+						}
 					}
 				}
 				// Members of have never re-enter the pool even with budget slack.
@@ -495,8 +481,8 @@ func TestGreedyCompleteRuleContinuation(t *testing.T) {
 }
 
 // TestMaxcovRunsOnEBS pins the ebsOK contract: maxcov never reads weights, so
-// it must run (and agree across engines) on an EBS-weighted instance where
-// the weight-scaling rules are rejected.
+// it must run (and agree with the naive oracle at any parallelism) on an
+// EBS-weighted instance where the weight-scaling rules are rejected.
 func TestMaxcovRunsOnEBS(t *testing.T) {
 	inst := randomInstance(99, 120, 12, groups.WeightEBS, groups.CoverSingle, 8)
 	if !inst.EBS {
@@ -507,13 +493,14 @@ func TestMaxcovRunsOnEBS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := LazyGreedyRule(inst, 8, nil, r, Options{Parallelism: 4})
+	par, err := GreedyRule(inst, 8, r, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resultsIdentical(want, lazy) {
-		t.Fatal("maxcov eager vs lazy diverged on an EBS instance")
+	if !resultsIdentical(want, par) {
+		t.Fatal("maxcov diverged at parallelism 4 on an EBS instance")
 	}
+	checkOracles(t, inst, 8, nil, r, want, "EBS instance")
 	if got := float64(coveredGroups(inst, want.Users)); got != want.Score {
 		t.Fatalf("maxcov EBS score %v, distinct coverable groups %v", want.Score, got)
 	}

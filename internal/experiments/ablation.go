@@ -9,8 +9,7 @@ import (
 )
 
 // AblationConfig parameterizes the design-choice ablations (DESIGN.md E10):
-// bucketing method, weight scheme, coverage scheme, and eager-versus-lazy
-// greedy.
+// bucketing method, weight scheme and coverage scheme.
 type AblationConfig struct {
 	Dataset   *synth.Dataset
 	Budget    int
@@ -87,36 +86,4 @@ func RunSchemeAblation(cfg AblationConfig) *Table {
 		}
 	}
 	return t
-}
-
-// RunLazyAblation compares eager and lazy greedy: identical output, fewer
-// marginal evaluations.
-func RunLazyAblation(cfg AblationConfig) *Table {
-	cfg = cfg.withDefaults()
-	ix := groups.Build(cfg.Dataset.Repo, groups.Config{K: 3})
-	inst := groups.NewInstance(ix, groups.WeightLBS, groups.CoverSingle, cfg.Budget)
-	eager := core.Greedy(inst, cfg.Budget)
-	lazy := core.LazyGreedy(inst, cfg.Budget)
-	same := 1.0
-	if len(eager.Users) != len(lazy.Users) {
-		same = 0
-	} else {
-		for i := range eager.Users {
-			if eager.Users[i] != lazy.Users[i] {
-				same = 0
-			}
-		}
-	}
-	return &Table{
-		Title:   "Ablation: eager vs lazy greedy — " + cfg.Dataset.Name,
-		Metrics: []string{"Evaluations", MetricTotalScore, "Identical Output"},
-		Rows: []Row{
-			{Name: "Eager", Values: map[string]float64{
-				"Evaluations": float64(eager.Evaluations), MetricTotalScore: eager.Score, "Identical Output": same,
-			}},
-			{Name: "Lazy", Values: map[string]float64{
-				"Evaluations": float64(lazy.Evaluations), MetricTotalScore: lazy.Score, "Identical Output": same,
-			}},
-		},
-	}
 }

@@ -252,7 +252,7 @@ func runDistCell(ix *groups.Index, cfg DistConfig, n, s int, exactScore, exactSe
 					survivors = append(survivors, w...)
 				}
 			}
-			merged, err := core.MergeGreedy(inst, survivors, cfg.Budget, opt)
+			merged, err := core.MergeGreedyRule(inst, survivors, cfg.Budget, nil, opt)
 			if err != nil {
 				return row, err
 			}

@@ -11,10 +11,10 @@ import (
 
 // EngineConfig parameterizes the selection-engine benchmark suite. The suite
 // reuses the Figure 5 scalability workload (population sweep, ~200-property
-// profiles, LBS/Single) but times the selection core's execution strategies
-// against each other rather than Podium against the baselines: the preserved
-// seed implementation (core.ReferenceGreedy), the CSR engine sequentially,
-// the lazy variant, and the CSR engine at Parallelism workers.
+// profiles, LBS/Single) but times the selection core against its own seed
+// rather than Podium against the baselines: the preserved seed
+// implementation (core.ReferenceGreedy), the greedy loop sequentially, and —
+// when more than one CPU runs — the loop at Parallelism workers.
 type EngineConfig struct {
 	Seed   int64
 	Budget int
@@ -47,13 +47,14 @@ type EngineRow struct {
 	Users  int `json:"users"`
 	Groups int `json:"groups"`
 	// Links is |{(u,G) : u ∈ G}| — the CSR adjacency size.
-	Links          int     `json:"links"`
-	ReferenceSec   float64 `json:"reference_sec"`
-	EngineSeqSec   float64 `json:"engine_seq_sec"`
-	LazySec        float64 `json:"lazy_sec"`
-	EngineParSec   float64 `json:"engine_par_sec"`
+	Links        int     `json:"links"`
+	ReferenceSec float64 `json:"reference_sec"`
+	EngineSeqSec float64 `json:"engine_seq_sec"`
+	// EngineParSec and SpeedupPar are omitted when only one CPU ran: a
+	// one-core "parallel speedup" measures nothing.
+	EngineParSec   float64 `json:"engine_par_sec,omitempty"`
 	SpeedupSeq     float64 `json:"speedup_seq"`
-	SpeedupPar     float64 `json:"speedup_par"`
+	SpeedupPar     float64 `json:"speedup_par,omitempty"`
 	IdenticalToRef bool    `json:"identical_to_reference"`
 }
 
@@ -69,8 +70,8 @@ type EngineReport struct {
 	NumCPU      int         `json:"num_cpu"`
 	Rows        []EngineRow `json:"rows"`
 	// MinSpeedupPar is the worst parallel-engine speedup across the sweep —
-	// the regression gate.
-	MinSpeedupPar float64 `json:"min_speedup_par"`
+	// the regression gate; omitted with the parallel variant.
+	MinSpeedupPar float64 `json:"min_speedup_par,omitempty"`
 }
 
 // timeMin returns the fastest observed run of f: at least reps runs, and —
@@ -101,15 +102,19 @@ func timeMin(reps int, f func()) float64 {
 func RunEngineSuite(cfg EngineConfig) (*Table, *EngineReport) {
 	cfg = cfg.withDefaults()
 	const (
-		mRef = "Reference (seed)"
-		mSeq = "Engine seq"
-		mLzy = "Lazy"
-		mPar = "Engine par"
-		mSpd = "Speedup (ref/par)"
+		mRef  = "Reference (seed)"
+		mSeq  = "Engine seq"
+		mSpdS = "Speedup (ref/seq)"
+		mPar  = "Engine par"
+		mSpdP = "Speedup (ref/par)"
 	)
+	multi := runtime.GOMAXPROCS(0) > 1 && cfg.Parallelism > 1
 	t := &Table{
 		Title:   fmt.Sprintf("Selection engine on the Fig. 5 workload (seconds; parallelism=%d)", cfg.Parallelism),
-		Metrics: []string{mRef, mSeq, mLzy, mPar, mSpd},
+		Metrics: []string{mRef, mSeq, mSpdS},
+	}
+	if multi {
+		t.Metrics = append(t.Metrics, mPar, mSpdP)
 	}
 	rep := &EngineReport{
 		Suite:       "engine",
@@ -128,10 +133,10 @@ func RunEngineSuite(cfg EngineConfig) (*Table, *EngineReport) {
 
 		// Warm every path once (also verifies output identity outside timing).
 		want := core.ReferenceGreedy(inst, cfg.Budget, nil)
-		gotSeq := core.GreedyOpts(inst, cfg.Budget, seq)
-		gotPar := core.GreedyOpts(inst, cfg.Budget, par)
-		core.LazyGreedy(inst, cfg.Budget)
-		identical := sameSelection(want, gotSeq) && sameSelection(want, gotPar)
+		identical := sameSelection(want, core.GreedyOpts(inst, cfg.Budget, seq))
+		if multi {
+			identical = identical && sameSelection(want, core.GreedyOpts(inst, cfg.Budget, par))
+		}
 
 		row := EngineRow{
 			Users:          ix.Repo().NumUsers(),
@@ -141,29 +146,22 @@ func RunEngineSuite(cfg EngineConfig) (*Table, *EngineReport) {
 		}
 		row.ReferenceSec = timeMin(cfg.Repetitions, func() { core.ReferenceGreedy(inst, cfg.Budget, nil) })
 		row.EngineSeqSec = timeMin(cfg.Repetitions, func() { core.GreedyOpts(inst, cfg.Budget, seq) })
-		row.LazySec = timeMin(cfg.Repetitions, func() { core.LazyGreedy(inst, cfg.Budget) })
-		row.EngineParSec = timeMin(cfg.Repetitions, func() { core.GreedyOpts(inst, cfg.Budget, par) })
 		if row.EngineSeqSec > 0 {
 			row.SpeedupSeq = row.ReferenceSec / row.EngineSeqSec
 		}
-		if row.EngineParSec > 0 {
-			row.SpeedupPar = row.ReferenceSec / row.EngineParSec
+		vals := map[string]float64{mRef: row.ReferenceSec, mSeq: row.EngineSeqSec, mSpdS: row.SpeedupSeq}
+		if multi {
+			row.EngineParSec = timeMin(cfg.Repetitions, func() { core.GreedyOpts(inst, cfg.Budget, par) })
+			if row.EngineParSec > 0 {
+				row.SpeedupPar = row.ReferenceSec / row.EngineParSec
+			}
+			if rep.MinSpeedupPar == 0 || row.SpeedupPar < rep.MinSpeedupPar {
+				rep.MinSpeedupPar = row.SpeedupPar
+			}
+			vals[mPar], vals[mSpdP] = row.EngineParSec, row.SpeedupPar
 		}
 		rep.Rows = append(rep.Rows, row)
-		if rep.MinSpeedupPar == 0 || row.SpeedupPar < rep.MinSpeedupPar {
-			rep.MinSpeedupPar = row.SpeedupPar
-		}
-
-		t.Rows = append(t.Rows, Row{
-			Name: fmt.Sprintf("|U|=%d", n),
-			Values: map[string]float64{
-				mRef: row.ReferenceSec,
-				mSeq: row.EngineSeqSec,
-				mLzy: row.LazySec,
-				mPar: row.EngineParSec,
-				mSpd: row.SpeedupPar,
-			},
-		})
+		t.Rows = append(t.Rows, Row{Name: fmt.Sprintf("|U|=%d", n), Values: vals})
 	}
 	return t, rep
 }

@@ -304,17 +304,6 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("%s beats LBS+Single on its own objective", r.Name)
 		}
 	}
-
-	l := RunLazyAblation(cfg)
-	eager := rowByName(t, l, "Eager")
-	lazy := rowByName(t, l, "Lazy")
-	if lazy.Get("Identical Output") != 1 {
-		t.Fatal("lazy output differs from eager")
-	}
-	if eager.Get("Evaluations") <= 0 || lazy.Get("Evaluations") <= 0 {
-		t.Fatal("lazy ablation did not record work counts")
-	}
-	t.Logf("link traversals: eager %.0f, lazy %.0f", eager.Get("Evaluations"), lazy.Get("Evaluations"))
 }
 
 // E11 (future work §10): weight noise trades solution quality for output

@@ -160,15 +160,10 @@ func runRulesTier(cfg RulesConfig, n int) ([]RulesRow, error) {
 		rule := core.MustRule(name)
 		row := RulesRow{Users: n, Rule: name, Default: rule.IsDefault()}
 
-		// The default rule runs the legacy engine — exactly the path a
-		// rule-less request takes — so VsDefault charges only the credit
-		// schedule, never a dispatch difference.
+		// Every rule runs the same greedy loop, so VsDefault charges only
+		// the credit schedule and the per-request base-row sum.
 		var users []profile.UserID
 		sel := func() {
-			if rule.IsDefault() {
-				users = core.GreedyOpts(inst, cfg.Budget, opt).Users
-				return
-			}
 			res, err := core.GreedyRule(inst, cfg.Budget, rule, opt)
 			if err != nil {
 				panic(err)

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 
 	"podium/internal/core"
@@ -44,6 +46,30 @@ func WriteJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}
 // WriteError writes the unified error envelope.
 func WriteError(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...interface{}) {
 	writeError(w, r, status, code, format, args...)
+}
+
+// CheckFinite rejects a select whose response would carry a non-finite
+// number, which encoding/json refuses. EBS weights (B+1)^rank overflow
+// float64 past ~300 groups: the selection stays exact (rank vectors), but its
+// score, marginals and group weights would be +Inf. fb, when non-nil, is
+// validated and checked on the tiered instance customization builds. Iden and
+// LBS scores are bounded by the link count, so only EBS is checked. Handlers
+// answer the error with 400 before selecting.
+func (sn *Snapshot) CheckFinite(ws groups.WeightScheme, cs groups.CoverageScheme, budget int, fb *core.Feedback) error {
+	if ws != groups.WeightEBS {
+		return nil
+	}
+	inst := sn.Instance(ws, cs, budget)
+	if fb != nil {
+		if err := fb.Validate(inst.Index); err != nil {
+			return err
+		}
+		inst = core.CustomInstance(inst, *fb)
+	}
+	if s := inst.MaxScore(); math.IsInf(s, 0) || math.IsNaN(s) {
+		return fmt.Errorf("EBS weights overflow float64 on this index (%d groups): the response's score, marginals and group weights would be infinite; use LBS or Iden weights", inst.Index.NumGroups())
+	}
+	return nil
 }
 
 // RenderSelection marshals the standard select-response JSON for an

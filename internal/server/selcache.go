@@ -384,7 +384,7 @@ func (c *selectCache) buildResponse(inst *groups.Instance, k selCacheKey, r *cor
 		}
 		return buildSelectResponse(inst, custom.Result, custom, k.topK), nil
 	}
-	res, err := core.LazyGreedyRule(inst, k.budget, nil, r, opt)
+	res, err := core.GreedyRule(inst, k.budget, r, opt)
 	if err != nil {
 		// Unreachable: the handler gates rule/instance compatibility before
 		// the cache is consulted.

@@ -460,6 +460,15 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	dsp.End()
 	sn := s.Snapshot()
+	var fb *core.Feedback
+	if !req.Feedback.empty() {
+		cf := req.Feedback.toCore()
+		fb = &cf
+	}
+	if err := sn.CheckFinite(ws, cs, req.Budget, fb); err != nil {
+		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
+	}
 	opt := core.Options{Parallelism: clampParallelism(req.Parallelism)}
 	var tim *core.StageTimings
 	if s.obsEnabled() || sp != nil {
@@ -483,10 +492,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			// canonicalized feedback restriction.
 			pretty := r.URL.Query().Get("pretty") == "1"
 			k := selCacheKey{ws: ws, cs: cs, budget: req.Budget, topK: req.TopK, rule: rule.Name(), pretty: pretty}
-			var fb *core.Feedback
-			if !req.Feedback.empty() {
-				cf := req.Feedback.toCore()
-				fb = &cf
+			if fb != nil {
 				k.fb = feedbackCacheKey(req.Feedback)
 			}
 			_, data, err := s.selCache.respond(sn, k, rule, fb, opt)
@@ -504,7 +510,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if req.Feedback.empty() {
+	if fb == nil {
 		// Feedback-free selections are memoized per epoch: the snapshot is
 		// immutable and greedy is deterministic, so the response is a pure
 		// function of (epoch, schemes, budget, topK).
@@ -532,7 +538,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 	inst := sn.Instance(ws, cs, req.Budget)
 	gsp := sp.StartChild("greedy")
-	custom, err := core.GreedyCustomOpts(inst, req.Feedback.toCore(), req.Budget, opt)
+	custom, err := core.GreedyCustomOpts(inst, *fb, req.Budget, opt)
 	gsp.End()
 	attachStages(gsp, tim)
 	s.observeEngine(tim)
@@ -631,6 +637,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.TopK <= 0 {
 		req.TopK = 200
+	}
+	if err := sn.CheckFinite(ws, cs, q.Budget, &fb); err != nil {
+		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
 	}
 	inst := sn.Instance(ws, cs, q.Budget)
 	opt := core.Options{}

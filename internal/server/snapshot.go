@@ -115,9 +115,9 @@ func (sn *Snapshot) Instance(ws groups.WeightScheme, cs groups.CoverageScheme, b
 // passed by the winning caller steers that one computation's parallelism;
 // losers share its (identical) result. data is the compact JSON encoding of
 // resp, ready to write; err is the marshalling error, if any.
-// rl selects the objective; the default rule runs the historical engine, so
-// its memoized responses are byte-identical to pre-rules servers (the rule
-// field is omitted for the default).
+// rl selects the objective; the default rule's memoized responses are
+// byte-identical to pre-rules servers (the rule field is omitted for the
+// default).
 func (sn *Snapshot) SelectResponse(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, opt core.Options) (resp selectResponse, data []byte, err error) {
 	rl = rl.OrDefault()
 	k := selKey{ws, cs, budget, topK, rl.Name()}
@@ -126,13 +126,8 @@ func (sn *Snapshot) SelectResponse(ws groups.WeightScheme, cs groups.CoverageSch
 	e.once.Do(func() {
 		inst := sn.Instance(ws, cs, budget)
 		var res *core.Result
-		if rl.IsDefault() {
-			res = core.GreedyOpts(inst, budget, opt)
-		} else {
-			res, e.err = core.GreedyRule(inst, budget, rl, opt)
-			if e.err != nil {
-				return
-			}
+		if res, e.err = core.GreedyRule(inst, budget, rl, opt); e.err != nil {
+			return
 		}
 		e.resp = buildSelectResponse(inst, res, nil, topK)
 		if !rl.IsDefault() {

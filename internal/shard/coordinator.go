@@ -228,6 +228,11 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 			"rule %q does not support EBS weights (exact rank arithmetic implements only the coverage objective)", rule.Name())
 		return
 	}
+	if err := co.base.Snapshot().CheckFinite(ws, cs, req.Budget, nil); err != nil {
+		// Same reason: every shard leg would fail to encode its response.
+		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
+		return
+	}
 
 	sp := obs.StartSpan("coordinator.select")
 	fsp := sp.StartChild("fanout")

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,6 +162,24 @@ func TestCoordinatorRejectsShardLocalConcepts(t *testing.T) {
 	}
 	if _, err := c.Select(client.SelectRequest{Budget: 3, Config: "paper"}); err == nil {
 		t.Fatal("named-config select accepted by coordinator")
+	}
+}
+
+// TestCoordinatorRejectsEBSOverflow: on an index whose EBS weights overflow
+// float64, the coordinator answers 400 before fan-out — not the 503 "all
+// shards failed" that every leg failing to encode +Inf would add up to.
+func TestCoordinatorRejectsEBSOverflow(t *testing.T) {
+	h := newCoordHarness(t, 2000, 2)
+	c := h.client(t)
+	for _, rule := range []string{"", "maxcov"} {
+		_, err := c.Select(client.SelectRequest{Budget: 8, Weights: "EBS", Rule: rule})
+		ae, ok := client.AsAPIError(err)
+		if !ok || ae.Status != 400 || ae.Code != server.CodeInvalidArgument || !strings.Contains(ae.Message, "overflow") {
+			t.Fatalf("rule %q: EBS select on a large index = %v, want 400 naming the overflow", rule, err)
+		}
+	}
+	if _, err := c.Select(client.SelectRequest{Budget: 8}); err != nil {
+		t.Fatalf("LBS select on the same index: %v", err)
 	}
 }
 

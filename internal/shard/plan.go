@@ -114,7 +114,6 @@ func (p *Plan) Select(ws groups.WeightScheme, cs groups.CoverageScheme, budget i
 // merge — run the rule's credit schedule, so the GreeDi composition holds
 // for the rule's own objective.
 func (p *Plan) SelectRule(ws groups.WeightScheme, cs groups.CoverageScheme, budget int, rl *core.Rule, opt core.Options) (*SelectResult, error) {
-	rl = rl.OrDefault()
 	winners, err := p.roundOneRule(ws, cs, budget, rl, opt)
 	if err != nil {
 		return nil, err
@@ -158,7 +157,6 @@ func (p *Plan) Prove(ws groups.WeightScheme, cs groups.CoverageScheme, budget in
 // sequentially inside its worker (shard-level beats pick-level parallelism
 // when S ≥ workers).
 func (p *Plan) roundOneRule(ws groups.WeightScheme, cs groups.CoverageScheme, budget int, rl *core.Rule, opt core.Options) ([][]profile.UserID, error) {
-	rl = rl.OrDefault()
 	winners := make([][]profile.UserID, len(p.Shards))
 	errs := make([]error, len(p.Shards))
 	one := func(s int) {
@@ -169,16 +167,10 @@ func (p *Plan) roundOneRule(ws groups.WeightScheme, cs groups.CoverageScheme, bu
 		inst := groups.NewInstance(sh.Index, ws, cs, budget)
 		// Timings deliberately stays unset: StageTimings is not safe for
 		// concurrent runs, and round 1 is where shards overlap.
-		var res *core.Result
-		if rl.IsDefault() {
-			res = core.GreedyOpts(inst, budget, core.Options{})
-		} else {
-			var err error
-			res, err = core.GreedyRule(inst, budget, rl, core.Options{})
-			if err != nil {
-				errs[s] = fmt.Errorf("shard %d: %w", s, err)
-				return
-			}
+		res, err := core.GreedyRule(inst, budget, rl, core.Options{})
+		if err != nil {
+			errs[s] = fmt.Errorf("shard %d: %w", s, err)
+			return
 		}
 		w := make([]profile.UserID, len(res.Users))
 		for i, local := range res.Users {

@@ -95,7 +95,6 @@ type options struct {
 	weights  WeightScheme
 	coverage CoverageScheme
 	rule     string
-	lazy     bool
 	topK     int
 }
 
@@ -123,10 +122,6 @@ func WithWeights(w WeightScheme) Option { return func(o *options) { o.weights = 
 
 // WithCoverage selects the coverage scheme (default Single).
 func WithCoverage(c CoverageScheme) Option { return func(o *options) { o.coverage = c } }
-
-// WithLazyGreedy switches selection to the lazy-greedy variant (identical
-// output, different work profile; see internal/core).
-func WithLazyGreedy() Option { return func(o *options) { o.lazy = true } }
 
 // WithRule selects the marginal-gain rule Select optimizes — one of
 // RuleNames(): "coverage" (default, the paper's objective), "harmonic",
@@ -248,25 +243,18 @@ type Selection struct {
 	PriorityScore, StandardScore float64
 }
 
-// Select solves BASE-DIVERSITY: pick at most budget users maximizing the
-// total coverage score, via the (1−1/e) greedy of Algorithm 1.
+// Select solves BASE-DIVERSITY under the configured rule (coverage by
+// default: the total coverage score) via the (1−1/e) greedy of Algorithm 1.
 func (p *Podium) Select(budget int) (*Selection, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("podium: budget must be positive, got %d", budget)
 	}
-	inst := groups.NewInstance(p.index, p.opts.weights, p.opts.coverage, budget)
-	var res *core.Result
-	var err error
-	switch {
-	case p.rule.IsDefault() && p.opts.lazy:
-		res = core.LazyGreedy(inst, budget)
-	case p.rule.IsDefault():
-		res = core.Greedy(inst, budget)
-	case p.opts.lazy:
-		res, err = core.LazyGreedyRule(inst, budget, nil, p.rule, core.Options{})
-	default:
-		res, err = core.GreedyRule(inst, budget, p.rule, core.Options{})
-	}
+	return p.selectRule(groups.NewInstance(p.index, p.opts.weights, p.opts.coverage, budget), budget)
+}
+
+// selectRule runs the configured rule's greedy on inst.
+func (p *Podium) selectRule(inst *groups.Instance, budget int) (*Selection, error) {
+	res, err := core.GreedyRule(inst, budget, p.rule, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("podium: %w", err)
 	}
@@ -279,10 +267,15 @@ func (p *Podium) SelectCustom(budget int, fb Feedback) (*Selection, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("podium: budget must be positive, got %d", budget)
 	}
+	return p.selectCustom(groups.NewInstance(p.index, p.opts.weights, p.opts.coverage, budget), budget, fb)
+}
+
+// selectCustom runs the customized greedy on inst; feedback refines only the
+// default coverage rule.
+func (p *Podium) selectCustom(inst *groups.Instance, budget int, fb Feedback) (*Selection, error) {
 	if !p.rule.IsDefault() {
 		return nil, fmt.Errorf("podium: feedback customization supports only the default coverage rule (got %q)", p.rule.Name())
 	}
-	inst := groups.NewInstance(p.index, p.opts.weights, p.opts.coverage, budget)
 	res, err := core.GreedyCustom(inst, fb, budget)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package podium
 import (
 	"fmt"
 
-	"podium/internal/core"
 	"podium/internal/groups"
 	"podium/internal/query"
 )
@@ -17,6 +16,9 @@ import (
 //	DIVERSIFY BY "livesIn Tokyo", "livesIn Paris"
 //	IGNORE "internal score"
 //
+// The selection runs the instance's configured rule (WithRule); a query with
+// feedback clauses (WHERE, DIVERSIFY BY, IGNORE) is customization, which only
+// the default coverage rule supports — SelectCustom's error otherwise.
 // WEIGHTS and COVERAGE default to the instance's configured schemes. A
 // BUCKETS clause must match the grouping this instance was built with —
 // regrouping per query would silently invalidate every group ID the client
@@ -46,19 +48,9 @@ func (p *Podium) SelectQuery(src string) (*Selection, error) {
 	}
 	inst := groups.NewInstance(p.index, ws, cs, q.Budget)
 	if len(fb.MustHave) == 0 && len(fb.MustNot) == 0 && len(fb.Priority) == 0 && !fb.StandardExplicit {
-		var res *core.Result
-		if p.opts.lazy {
-			res = core.LazyGreedy(inst, q.Budget)
-		} else {
-			res = core.Greedy(inst, q.Budget)
-		}
-		return p.finish(inst, res, 0, 0), nil
+		return p.selectRule(inst, q.Budget)
 	}
-	res, err := core.GreedyCustom(inst, fb, q.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return p.finish(inst, res.Result, res.PriorityScore, res.StandardScore), nil
+	return p.selectCustom(inst, q.Budget, fb)
 }
 
 func (p *Podium) effectiveBuckets() int {

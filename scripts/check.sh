@@ -3,9 +3,12 @@
 #
 # Runs, in order:
 #   1. go vet  over every package
-#   2. go build over every package
-#   3. the full test suite
-#   4. the race detector over the concurrent selection engine and the
+#   2. go vet  over the benchmark module (perfbench/ is its own module, so
+#      ./... at the root skips it; this catches a core rename that would
+#      otherwise fail only when the benchmark runs)
+#   3. go build over every package
+#   4. the full test suite
+#   5. the race detector over the concurrent selection engine and the
 #      delta-repaired selector state plus the pluggable rule engine's credit
 #      schedules (internal/core), the shared adjacency
 #      structures and their mutation change records (internal/groups), the
@@ -29,6 +32,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== go -C perfbench vet ./..."
+go -C perfbench vet ./...
 
 echo "== go build ./..."
 go build ./...
