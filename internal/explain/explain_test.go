@@ -2,7 +2,12 @@ package explain
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,6 +15,7 @@ import (
 	"podium/internal/core"
 	"podium/internal/groups"
 	"podium/internal/profile"
+	"podium/internal/synth"
 )
 
 func paperInstance(t *testing.T) *groups.Instance {
@@ -191,6 +197,144 @@ func TestRender(t *testing.T) {
 	for _, want := range []string{"Alice", "Eve", "top-weight groups covered", "✓"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// oracleReport builds the report straight from Definition 5.1: the user
+// explanations in selection order, then ForSubset for every group of the
+// index, ordered by decreasing weight with ties in ascending group ID.
+func oracleReport(inst *groups.Instance, res *core.Result, topK int) *Report {
+	rep := &Report{}
+	for i, u := range res.Users {
+		var marg float64
+		if i < len(res.Marginals) {
+			marg = res.Marginals[i]
+		}
+		rep.Users = append(rep.Users, ForUser(inst, u, marg))
+	}
+	order := make([]groups.GroupID, inst.Index.NumGroups())
+	for i := range order {
+		order[i] = groups.GroupID(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return inst.Wei[order[i]] > inst.Wei[order[j]] })
+	rep.Groups = []SubsetGroup{}
+	for _, gid := range order {
+		rep.Groups = append(rep.Groups, ForSubset(inst, res.Users, gid))
+	}
+	rep.TopK = min(topK, len(rep.Groups))
+	for _, sg := range rep.Groups[:rep.TopK] {
+		if sg.Covered {
+			rep.TopKCovered++
+		}
+	}
+	return rep
+}
+
+// randomIndex builds a small synthetic index, adds intersection, union and
+// manual groups, then mutates it: appended users indexed incrementally and
+// score rewrites that move users between buckets.
+func randomIndex(t *testing.T, seed int64) *groups.Index {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cfg := synth.ScaleLike(150 + rng.Intn(250))
+	cfg.Seed = seed
+	repo := synth.Generate(cfg).Repo
+	ix := groups.Build(repo, groups.Config{K: 2 + rng.Intn(3)})
+	nG := ix.NumGroups()
+	for i := 0; i < 6; i++ {
+		a, b := groups.GroupID(rng.Intn(nG)), groups.GroupID(rng.Intn(nG))
+		if i%2 == 0 {
+			ix.AddIntersection(a, b) // an empty intersection is refused; fine
+		} else {
+			ix.AddUnion(a, b)
+		}
+	}
+	n := repo.NumUsers()
+	var manual []profile.UserID
+	for i := 0; i < 1+rng.Intn(20); i++ {
+		manual = append(manual, profile.UserID(rng.Intn(n)))
+	}
+	if _, err := ix.AddManualGroup(fmt.Sprintf("manual %d", seed), manual); err != nil {
+		t.Fatal(err)
+	}
+	// Appended users copy the scores of two existing users.
+	for i := 0; i < 5; i++ {
+		u := repo.AddUser(fmt.Sprintf("late-%d", i))
+		for _, v := range []int{rng.Intn(n), rng.Intn(n)} {
+			repo.Profile(profile.UserID(v)).Each(func(p profile.PropertyID, s float64) {
+				if err := repo.SetScoreID(u, p, s); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if _, err := ix.IndexUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Score rewrites: a user takes another holder's score on one property.
+	for i := 0; i < 40; i++ {
+		u := profile.UserID(rng.Intn(repo.NumUsers()))
+		props := repo.Profile(u).Properties()
+		if len(props) == 0 {
+			continue
+		}
+		p := props[rng.Intn(len(props))]
+		holders, scores := repo.PropertyValues(p)
+		j := rng.Intn(len(holders))
+		if holders[j] == u {
+			continue
+		}
+		if err := repo.SetScoreID(u, p, scores[j]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.UpdateScore(u, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix
+}
+
+// TestNewReportMatchesForSubset checks NewReport against oracleReport on
+// random mutated indexes with complex groups, under every rule, weight and
+// coverage scheme, plus arbitrary panels with a repeated user and missing
+// marginals.
+func TestNewReportMatchesForSubset(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		ix := randomIndex(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		n := ix.Repo().NumUsers()
+		for _, ws := range []groups.WeightScheme{groups.WeightIden, groups.WeightLBS} {
+			for _, cs := range []groups.CoverageScheme{groups.CoverSingle, groups.CoverProp} {
+				budget := 1 + rng.Intn(12)
+				inst := groups.NewInstance(ix, ws, cs, budget)
+				var results []*core.Result
+				for _, rl := range core.Rules() {
+					res, err := core.GreedyRule(inst, budget, rl, core.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					results = append(results, res)
+				}
+				panel := &core.Result{Marginals: []float64{1.5}}
+				for i := 0; i < 1+rng.Intn(10); i++ {
+					panel.Users = append(panel.Users, profile.UserID(rng.Intn(n)))
+				}
+				panel.Users = append(panel.Users, panel.Users[0])
+				results = append(results, panel, &core.Result{})
+				for i, res := range results {
+					topK := []int{1, 200, ix.NumGroups(), 1 << 20}[rng.Intn(4)]
+					got, want := NewReport(inst, res, topK), oracleReport(inst, res, topK)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d %s/%s result %d topK %d: report differs from the ForSubset oracle", seed, ws, cs, i, topK)
+					}
+					gj, _ := json.Marshal(got)
+					wj, _ := json.Marshal(want)
+					if !bytes.Equal(gj, wj) {
+						t.Fatalf("seed %d %s/%s result %d: report JSON differs from the ForSubset oracle", seed, ws, cs, i)
+					}
+				}
+			}
 		}
 	}
 }
