@@ -98,9 +98,9 @@ func main() {
 		failTolerance = flag.Int("fail-tolerance", 2, "coordinator: consecutive probe/call failures before a replica is marked down")
 		hedgeQuantile = flag.Float64("hedge-quantile", 0.9, "coordinator: latency quantile of recent calls after which a hedged request goes to a sibling replica")
 		maxHedge      = flag.Duration("max-hedge", 500*time.Millisecond, "coordinator: hedge deadline ceiling (also used before latency history exists)")
-		shardCount  = flag.Int("shards", 0, "serve one shard of the -in/-dataset repository: total shard count S (requires -shard-id)")
-		shardID     = flag.Int("shard-id", -1, "which shard of -shards this server holds")
-		shardSeed   = flag.Uint64("shard-seed", 0, "consistent-hash partition seed; every shard and the coordinator's planner must agree on it")
+		shardCount    = flag.Int("shards", 0, "serve one shard of the -in/-dataset repository: total shard count S (requires -shard-id)")
+		shardID       = flag.Int("shard-id", -1, "which shard of -shards this server holds")
+		shardSeed     = flag.Uint64("shard-seed", 0, "consistent-hash partition seed; every shard and the coordinator's planner must agree on it")
 	)
 	flag.Parse()
 

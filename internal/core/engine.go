@@ -28,10 +28,11 @@ import (
 //
 //  3. The start row marg_{u,·} is an O(n) copy where one exists: of
 //     Instance.BaseMarginals (memoized per instance, so per epoch on the
-//     server) for the coverage rule, or of a SelectorState's delta-repaired
-//     base. Otherwise the rule sums it group-major (Rule.baseFrom). Every
-//     start sums each user's CSR row in ascending group order, so all three
-//     produce the same floats.
+//     server) for the coverage rule, of Instance.RuleBase (memoized per
+//     instance and rule) for the other rules, or of a SelectorState's
+//     delta-repaired base. Only runs from start positions (a partial panel's
+//     hits) sum it afresh (Rule.baseFrom). Every start sums each user's CSR
+//     row in ascending group order, so all of them produce the same floats.
 //
 //  4. Per group the loop tracks only the selected-member count. When a pick
 //     moves a group down its schedule, the credit drop is retracted from
@@ -195,18 +196,21 @@ func greedy(inst *groups.Instance, sp greedySpec) *Result {
 }
 
 // startRow returns a private copy of the marginals before the first pick:
-// the seed, the instance's memoized base row, or a fresh rule sum. The first
-// two are shared (by every later select on a state, by concurrent requests
-// on an epoch), so they are copied, never written.
+// the seed, the instance's memoized base row for the rule, or a fresh rule
+// sum from start positions. The first two are shared (by every later select
+// on a state, by concurrent requests on an epoch), so they are copied, never
+// written.
 func (sp *greedySpec) startRow(inst *groups.Instance, r *Rule) []float64 {
 	var shared []float64
 	switch {
 	case sp.seed != nil:
 		shared = sp.seed
-	case sp.t0 == nil && r.def:
+	case sp.t0 != nil:
+		return r.baseFrom(inst, sp.t0)
+	case r.def:
 		shared = inst.BaseMarginals()
 	default:
-		return r.baseFrom(inst, sp.t0)
+		shared = inst.RuleBase(r.name, func() []float64 { return r.baseFrom(inst, nil) })
 	}
 	marg := make([]float64, len(shared))
 	copy(marg, shared)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -507,6 +508,50 @@ func TestMaxcovRunsOnEBS(t *testing.T) {
 	for _, name := range []string{"harmonic", "fairness-floor"} {
 		if _, err := GreedyRule(inst, 8, MustRule(name), Options{}); err == nil {
 			t.Fatalf("rule %q accepted an EBS instance", name)
+		}
+	}
+}
+
+// TestRuleBaseMemo: a non-default rule's run without start positions starts
+// from the instance's memoized base row — computed once, equal to a fresh
+// group-major sum, and never written by the runs that copy it — while a
+// top-up from a partial panel sums its own row.
+func TestRuleBaseMemo(t *testing.T) {
+	for i, r := range Rules() {
+		if r.IsDefault() {
+			continue
+		}
+		inst := randomInstance(int64(40+i), 90, 8, groups.WeightLBS, groups.CoverProp, 6)
+		want := r.baseFrom(inst, nil)
+		first, err := GreedyRule(inst, 6, r, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := inst.RuleBase(r.Name(), func() []float64 {
+			t.Fatalf("rule %s: base row recomputed after a run memoized it", r.Name())
+			return nil
+		})
+		allowed := make([]bool, inst.Index.Repo().NumUsers())
+		for u := range allowed {
+			allowed[u] = u%3 != 0
+		}
+		for _, par := range []int{1, 8} {
+			again, err := GreedyRule(inst, 6, r, Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsIdentical(first, again) {
+				t.Fatalf("rule %s parallelism %d: a run from the memo diverged", r.Name(), par)
+			}
+			if _, err := MergeGreedyRule(inst, first.Users, 3, r, Options{Parallelism: par}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := GreedyCompleteRule(inst, 3, first.Users[:2], allowed, r, Options{Parallelism: par}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(row, want) || !slices.Equal(inst.RuleBase(r.Name(), nil), want) {
+			t.Fatalf("rule %s: memoized base row differs from a fresh sum", r.Name())
 		}
 	}
 }

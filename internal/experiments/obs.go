@@ -66,20 +66,20 @@ type ObsRunStats struct {
 // and read-QPS overhead fractions, floored at zero (instrumentation measuring
 // faster than baseline is noise, not negative cost).
 type ObsReport struct {
-	Suite          string      `json:"suite"`
-	Workload       string      `json:"workload"`
-	Users          int         `json:"users"`
-	Properties     int         `json:"properties"`
-	Groups         int         `json:"groups"`
-	Clients        int         `json:"clients"`
-	Budget         int         `json:"budget"`
-	Seed           int64       `json:"seed"`
-	NumCPU         int         `json:"num_cpu"`
-	Trials         int         `json:"trials"`
-	SelectIters    int         `json:"select_iters"`
-	DurationSec    float64     `json:"duration_sec"`
-	Enabled        ObsRunStats `json:"enabled"`
-	Disabled       ObsRunStats `json:"disabled"`
+	Suite       string      `json:"suite"`
+	Workload    string      `json:"workload"`
+	Users       int         `json:"users"`
+	Properties  int         `json:"properties"`
+	Groups      int         `json:"groups"`
+	Clients     int         `json:"clients"`
+	Budget      int         `json:"budget"`
+	Seed        int64       `json:"seed"`
+	NumCPU      int         `json:"num_cpu"`
+	Trials      int         `json:"trials"`
+	SelectIters int         `json:"select_iters"`
+	DurationSec float64     `json:"duration_sec"`
+	Enabled     ObsRunStats `json:"enabled"`
+	Disabled    ObsRunStats `json:"disabled"`
 	// SelectOverheadFrac = enabled mean / disabled mean − 1.
 	SelectOverheadFrac float64 `json:"select_overhead_frac"`
 	// ReadOverheadFrac = 1 − enabled QPS / disabled QPS.

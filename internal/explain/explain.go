@@ -9,7 +9,6 @@ package explain
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"podium/internal/core"
@@ -111,35 +110,37 @@ func (r *Report) TopKFraction() float64 {
 
 // NewReport builds the full report for a selection result. topK bounds the
 // headline coverage statistic; it is clamped to the number of groups.
+//
+// Every group gets its subset-group explanation, but |U∩G| is non-zero only
+// on the groups of the picked users, so Actual is counted by walking those
+// users' rows of the index (a user repeated in res.Users counts twice, as
+// ForSubset counts it) rather than by probing every group for every user.
+// The weight-descending group order, ties in ascending ID, is the
+// instance's memoized WeightOrder. The result equals ForSubset over every
+// group in that order.
 func NewReport(inst *groups.Instance, res *core.Result, topK int) *Report {
 	rep := &Report{}
+	ix := inst.Index
+	actual := make([]int, ix.NumGroups())
 	for i, u := range res.Users {
 		var marg float64
 		if i < len(res.Marginals) {
 			marg = res.Marginals[i]
 		}
 		rep.Users = append(rep.Users, ForUser(inst, u, marg))
-	}
-	// Sort the (small) group IDs by weight before building the explanations:
-	// reordering fat SubsetGroup structs through sort's reflected swapper
-	// dominated this function's profile. The stable sort keyed on weight
-	// alone keeps ties in ID order, exactly as the slice-sorting version did.
-	order := make([]groups.GroupID, inst.Index.NumGroups())
-	for i := range order {
-		order[i] = groups.GroupID(i)
-	}
-	slices.SortStableFunc(order, func(a, b groups.GroupID) int {
-		switch {
-		case inst.Wei[a] > inst.Wei[b]:
-			return -1
-		case inst.Wei[a] < inst.Wei[b]:
-			return 1
+		for _, gid := range ix.UserGroups(u) {
+			actual[gid]++
 		}
-		return 0
-	})
-	rep.Groups = make([]SubsetGroup, 0, len(order))
-	for _, gid := range order {
-		rep.Groups = append(rep.Groups, ForSubset(inst, res.Users, gid))
+	}
+	order := inst.WeightOrder()
+	rep.Groups = make([]SubsetGroup, len(order))
+	for i, gid := range order {
+		rep.Groups[i] = SubsetGroup{
+			Group:    ForGroup(inst, gid),
+			Required: inst.Cov[gid],
+			Actual:   actual[gid],
+			Covered:  actual[gid] >= inst.Cov[gid],
+		}
 	}
 	if topK > len(rep.Groups) {
 		topK = len(rep.Groups)

@@ -363,14 +363,22 @@ func TestChaosCoordinatorShardLoss(t *testing.T) {
 	}
 
 	// Phase 2: kill shard 1 mid-stream — in-flight connections are severed,
-	// not drained. From here every select must come back degraded yet
-	// successful, with the dead shard's failure attributed.
+	// not drained. A select overlapping the kill may still reach shard 1, so
+	// it need only succeed. Once the kill has finished, every select must
+	// come back degraded yet successful, with the dead shard's failure
+	// attributed.
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
 		s1.CloseClientConnections()
 		s1.Close()
 	}()
+	if sel, err := c.Select(client.SelectRequest{Budget: 4}); err != nil {
+		t.Fatalf("select overlapping the kill errored: %v", err)
+	} else if len(sel.Users) == 0 || sel.Score <= 0 {
+		t.Fatalf("select overlapping the kill empty: %d users score %v", len(sel.Users), sel.Score)
+	}
+	<-killed
 	for i := 0; i < 6; i++ {
 		sel, err := c.Select(client.SelectRequest{Budget: 4})
 		if err != nil {
@@ -392,7 +400,6 @@ func TestChaosCoordinatorShardLoss(t *testing.T) {
 			t.Fatalf("post-kill select %d does not attribute the dead shard: %+v", i, sel.Shards)
 		}
 	}
-	<-killed
 	t.Logf("chaos coordinator: %d complete, %d degraded under faults; %d injector requests (%d error, %d reset, %d truncate)",
 		complete, degraded, counts.Requests, counts.Error, counts.Reset, counts.Truncate)
 
@@ -451,10 +458,10 @@ func TestChaosReplicaKillBitIdentical(t *testing.T) {
 	co := shard.NewCoordinator(base, specs, shard.CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{
-				MaxAttempts: 4,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  5 * time.Millisecond,
-				Seed:        21,
+				MaxAttempts:        4,
+				BaseBackoff:        time.Millisecond,
+				MaxBackoff:         5 * time.Millisecond,
+				Seed:               21,
 				RetryNonIdempotent: true, // selects are read-only POSTs
 			},
 		},

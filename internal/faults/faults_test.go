@@ -22,7 +22,7 @@ func TestParseSpec(t *testing.T) {
 		{spec: "error=0.02,reset=0.01,latency=0.05,latency_ms=3,seed=7",
 			want: Config{Error: 0.02, Reset: 0.01, Latency: 0.05, LatencyMs: 3, Seed: 7}},
 		{spec: "truncate=0.1,truncate_after=4", want: Config{Truncate: 0.1, TruncateAfter: 4}},
-		{spec: "1.5", wantErr: true},            // split still sums to 1.5
+		{spec: "1.5", wantErr: true}, // split still sums to 1.5
 		{spec: "error=0.9,reset=0.9", wantErr: true},
 		{spec: "error=-0.1", wantErr: true},
 		{spec: "bogus=1", wantErr: true},

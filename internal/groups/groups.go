@@ -11,6 +11,7 @@ package groups
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -566,12 +567,22 @@ type Instance struct {
 	EBS     bool
 	EBSRank []int
 
-	// baseMarg memoizes BaseMarginals. Wei and Cov are set at construction
-	// and never mutated in place (derived instances — customization tiers,
-	// residual coverage, weight noise — build fresh Instance values), so the
-	// cache cannot go stale.
-	baseMargOnce sync.Once
-	baseMarg     []float64
+	// baseMarg memoizes BaseMarginals, weightOrder WeightOrder and ruleRows
+	// RuleBase. Wei and Cov are set at construction and never mutated in
+	// place (derived instances — customization tiers, residual coverage,
+	// weight noise — build fresh Instance values), so the memos cannot go
+	// stale; they die with the instance, which the server keeps per epoch.
+	baseMargOnce    sync.Once
+	baseMarg        []float64
+	weightOrderOnce sync.Once
+	weightOrder     []GroupID
+	ruleRows        sync.Map // rule name → *memoRow
+}
+
+// memoRow is one lazily computed per-instance row.
+type memoRow struct {
+	once sync.Once
+	row  []float64
 }
 
 // NewInstance assembles an instance from the standard scheme choices.
@@ -642,6 +653,47 @@ func (inst *Instance) BaseMarginals() []float64 {
 		inst.baseMarg = marg
 	})
 	return inst.baseMarg
+}
+
+// WeightOrder returns every group ID ordered by decreasing weight, ties in
+// ascending ID — the order of the explanation report's group list. It
+// depends only on Wei, so it is sorted once per instance and shared. Safe for
+// concurrent use; callers must not mutate the returned slice.
+func (inst *Instance) WeightOrder() []GroupID {
+	inst.weightOrderOnce.Do(func() {
+		order := make([]GroupID, inst.Index.NumGroups())
+		for i := range order {
+			order[i] = GroupID(i)
+		}
+		wei := inst.Wei
+		slices.SortStableFunc(order, func(a, b GroupID) int {
+			switch {
+			case wei[a] > wei[b]:
+				return -1
+			case wei[a] < wei[b]:
+				return 1
+			}
+			return 0
+		})
+		inst.weightOrder = order
+	})
+	return inst.weightOrder
+}
+
+// RuleBase returns the empty-selection base row of the named selection
+// rule, calling build on the first request per instance and rule and
+// sharing its result afterwards — BaseMarginals for rules other than the
+// default, whose credit schedules this package does not know. build must be
+// a pure function of the instance. Safe for concurrent use; callers must
+// not mutate the returned slice.
+func (inst *Instance) RuleBase(rule string, build func() []float64) []float64 {
+	v, ok := inst.ruleRows.Load(rule)
+	if !ok {
+		v, _ = inst.ruleRows.LoadOrStore(rule, &memoRow{})
+	}
+	m := v.(*memoRow)
+	m.once.Do(func() { m.row = build() })
+	return m.row
 }
 
 // MaxScore returns Σ_G wei(G)·cov(G) — the ceiling of any score, used by

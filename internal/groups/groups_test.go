@@ -2,6 +2,8 @@ package groups
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -386,5 +388,49 @@ func TestScoreMonotoneSubmodularProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstanceMemos: WeightOrder lists every group by decreasing weight with
+// ties in ascending ID and is sorted once; RuleBase runs its builder once
+// per rule name however many goroutines ask, and shares the row.
+func TestInstanceMemos(t *testing.T) {
+	inst := NewInstance(paperIndex(t), WeightLBS, CoverSingle, 2)
+	order := inst.WeightOrder()
+	if len(order) != inst.Index.NumGroups() {
+		t.Fatalf("order lists %d of %d groups", len(order), inst.Index.NumGroups())
+	}
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if inst.Wei[a] < inst.Wei[b] || (inst.Wei[a] == inst.Wei[b] && a > b) {
+			t.Fatalf("order[%d..%d] = %d (weight %v), %d (weight %v)", i-1, i, a, inst.Wei[a], b, inst.Wei[b])
+		}
+	}
+	if &inst.WeightOrder()[0] != &order[0] {
+		t.Fatal("WeightOrder re-sorted on a second call")
+	}
+
+	var builds [2]atomic.Int32
+	var wg sync.WaitGroup
+	rows := make([][]float64, 16)
+	for i := range rows {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k := i % 2
+			rows[i] = inst.RuleBase([]string{"a", "b"}[k], func() []float64 {
+				builds[k].Add(1)
+				return []float64{float64(k)}
+			})
+		}(i)
+	}
+	wg.Wait()
+	if builds[0].Load() != 1 || builds[1].Load() != 1 {
+		t.Fatalf("builders ran %d and %d times, want once each", builds[0].Load(), builds[1].Load())
+	}
+	for i, row := range rows {
+		if row[0] != float64(i%2) || &row[0] != &rows[i%2][0] {
+			t.Fatalf("goroutine %d got row %v, not the shared row of its rule", i, row)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"podium/internal/core"
+	"podium/internal/explain"
 	"podium/internal/groups"
 )
 
@@ -77,27 +78,95 @@ func (sn *Snapshot) CheckFinite(ws groups.WeightScheme, cs groups.CoverageScheme
 // whose greedy ran through core directly rather than through handleSelect.
 // rl names the rule the selection ran under (nil or default omits the
 // response's rule field, matching single-node default responses byte for
-// byte). extra fields are spliced into the top-level object (shard epochs,
-// the degraded flag); a key colliding with a standard field overrides it.
+// byte).
+//
+// Without extra fields the body is the single-node select body. extra adds
+// the coordinator's fields and accepts exactly three keys — "degraded",
+// "shards" and "trace" — answering any other key with an error. With extras
+// the body is a clusterSelectJSON: the same fields with every key in
+// ascending order at every level, the order coordinator bodies have always
+// had. Each extra is encoded as its own value, so struct-typed extras keep
+// their declared field order; a nil value omits its field. User names and
+// group labels are encoded as given; they reach the server as JSON and are
+// therefore valid UTF-8.
 func (sn *Snapshot) RenderSelection(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, res *core.Result, extra map[string]interface{}) ([]byte, error) {
 	inst := sn.Instance(ws, cs, budget)
-	resp := buildSelectResponse(inst, res, nil, topK)
-	if rl = rl.OrDefault(); !rl.IsDefault() {
-		resp.Rule = rl.Name()
-	}
-	data, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
+	rl = rl.OrDefault()
 	if len(extra) == 0 {
-		return data, nil
+		resp := buildSelectResponse(inst, res, nil, topK)
+		if !rl.IsDefault() {
+			resp.Rule = rl.Name()
+		}
+		return json.Marshal(resp)
 	}
-	var m map[string]interface{}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
+	var body clusterSelectJSON
 	for k, v := range extra {
-		m[k] = v
+		switch k {
+		case "degraded":
+			body.Degraded = v
+		case "shards":
+			body.Shards = v
+		case "trace":
+			body.Trace = v
+		default:
+			return nil, fmt.Errorf("server: RenderSelection: unsupported extra field %q (accepted: degraded, shards, trace)", k)
+		}
 	}
-	return json.Marshal(m)
+	if !rl.IsDefault() {
+		body.Rule = rl.Name()
+	}
+	rep := explain.NewReport(inst, res, topK)
+	body.Score = inst.Score(res.Users)
+	body.TopK, body.TopKCovered = rep.TopK, rep.TopKCovered
+	for _, ue := range rep.Users {
+		body.Users = append(body.Users, clusterUserJSON{ID: int(ue.User), Marginal: ue.Marginal, Name: ue.Name, Groups: topGroupLabels(ue)})
+	}
+	body.Groups = make([]clusterGroupJSON, len(rep.Groups))
+	for i, sg := range rep.Groups {
+		body.Groups[i] = clusterGroupJSON{
+			Actual:   sg.Actual,
+			Covered:  sg.Covered,
+			ID:       int(sg.Group.ID),
+			Label:    sg.Group.Label,
+			Required: sg.Required,
+			Weight:   sg.Group.Weight,
+		}
+	}
+	return json.Marshal(body)
+}
+
+// clusterSelectJSON is the coordinator's select body: selectResponse's
+// fields and the coordinator's extras, declared in ascending key order. The
+// extras are interface values so each encodes as its own type; an extra not
+// given stays nil and is omitted. priority_score and standard_score are
+// absent: a merge carries no feedback, and selectResponse omits both when
+// zero.
+type clusterSelectJSON struct {
+	Degraded    interface{}        `json:"degraded,omitempty"`
+	Groups      []clusterGroupJSON `json:"groups"`
+	Rule        string             `json:"rule,omitempty"`
+	Score       float64            `json:"score"`
+	Shards      interface{}        `json:"shards,omitempty"`
+	TopK        int                `json:"top_k"`
+	TopKCovered int                `json:"top_k_covered"`
+	Trace       interface{}        `json:"trace,omitempty"`
+	Users       []clusterUserJSON  `json:"users"`
+}
+
+// clusterUserJSON is selectedUserJSON in ascending key order.
+type clusterUserJSON struct {
+	ID       int      `json:"id"`
+	Marginal float64  `json:"marginal"`
+	Name     string   `json:"name"`
+	Groups   []string `json:"top_groups"`
+}
+
+// clusterGroupJSON is subsetGroupJSON in ascending key order.
+type clusterGroupJSON struct {
+	Actual   int     `json:"actual"`
+	Covered  bool    `json:"covered"`
+	ID       int     `json:"id"`
+	Label    string  `json:"label"`
+	Required int     `json:"required"`
+	Weight   float64 `json:"weight"`
 }

@@ -278,7 +278,7 @@ func TestTraceHeaderAttachesSpans(t *testing.T) {
 	s := newTestServer(t)
 	type traced struct {
 		Trace *struct {
-			Name     string `json:"name"`
+			Name     string  `json:"name"`
 			Ms       float64 `json:"ms"`
 			Children []struct {
 				Name string `json:"name"`

@@ -141,7 +141,6 @@ type selCacheEntry struct {
 	mu    sync.Mutex
 	valid bool
 	seq   uint64 // watermark the response was computed at
-	resp  selectResponse
 	data  []byte // pre-marshaled (pretty or compact per key), newline-terminated
 }
 
@@ -286,8 +285,9 @@ func (c *selectCache) state(k selStateKey, r *core.Rule) *selState {
 // check on the entry, and on miss a sync-repair-select-marshal under the
 // entry's lock. r is the resolved selection rule (k.rule is its name); fb is
 // nil for feedback-free requests (k.fb == "" then). The returned data is
-// pre-marshaled per k.pretty and newline-terminated.
-func (c *selectCache) respond(sn *Snapshot, k selCacheKey, r *core.Rule, fb *core.Feedback, opt core.Options) (selectResponse, []byte, error) {
+// pre-marshaled per k.pretty and newline-terminated; the entry keeps only
+// those bytes.
+func (c *selectCache) respond(sn *Snapshot, k selCacheKey, r *core.Rule, fb *core.Feedback, opt core.Options) ([]byte, error) {
 	target := sn.ChangeSeq()
 	rm := c.metFor(k.rule)
 	e := c.entry(k)
@@ -296,23 +296,23 @@ func (c *selectCache) respond(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 	if e.valid && e.seq >= target {
 		c.hits.Add(1)
 		rm.hits.Inc()
-		return e.resp, e.data, nil
+		return e.data, nil
 	}
 	c.misses.Add(1)
 	rm.misses.Inc()
 	resp, err := c.compute(sn, k, r, fb, opt)
 	if err != nil {
-		return resp, nil, err
+		return nil, err
 	}
 	if !r.IsDefault() {
 		resp.Rule = r.Name()
 	}
 	data, err := marshalSelect(resp, k.pretty)
 	if err != nil {
-		return resp, nil, err
+		return nil, err
 	}
-	e.resp, e.data, e.seq, e.valid = resp, data, target, true
-	return resp, data, nil
+	e.data, e.seq, e.valid = data, target, true
+	return data, nil
 }
 
 // compute produces the response for k against sn, repairing (or recomputing)

@@ -3,11 +3,14 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
 	"podium/internal/groups"
+	"podium/internal/obs"
 	"podium/internal/synth"
 )
 
@@ -76,6 +79,61 @@ func TestSelectEBSOverflowRejected(t *testing.T) {
 		sum := sha256.Sum256(rec.Body.Bytes())
 		if rec.Code != http.StatusOK || hex.EncodeToString(sum[:]) != want {
 			t.Errorf("paper EBS select %s = %d, body sha256 %x, want %s:\n%s", body, rec.Code, sum, want, rec.Body.String())
+		}
+	}
+}
+
+// TestTracedSelectsCompute: a traced feedback-free select is diagnostic, so
+// it runs the engine every time — both of two identical traced selects
+// carry the engine's stages — and it neither reads nor fills the per-epoch
+// memo, with the select cache on or off. Its body is the untraced body plus
+// the trace.
+func TestTracedSelectsCompute(t *testing.T) {
+	for _, cached := range []bool{true, false} {
+		s := newTestServer(t)
+		s.SetSelectCacheEnabled(cached)
+		bodies := []string{`{"budget":2}`, `{"budget":2}`}
+		for k := 1; k <= 5; k++ {
+			bodies = append(bodies, fmt.Sprintf(`{"budget":2,"top_k":%d}`, k))
+		}
+		for i, body := range bodies {
+			rec := doJSON(t, s, http.MethodPost, "/api/v1/select?trace=1", body, nil)
+			var tr struct {
+				Trace obs.SpanJSON `json:"trace"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("cache %v: traced select %d = %d (%v): %s", cached, i, rec.Code, err, rec.Body.String())
+			}
+			stages := map[string]bool{}
+			for _, c := range tr.Trace.Children {
+				if c.Name == "select" {
+					for _, st := range c.Children {
+						stages[st.Name] = true
+					}
+				}
+			}
+			for _, want := range []string{"init", "argmax", "retract"} {
+				if !stages[want] {
+					t.Errorf("cache %v: traced select %d: select span lacks engine stage %q: %s", cached, i, want, rec.Body.String())
+				}
+			}
+			plain := doJSON(t, s, http.MethodPost, "/api/v1/select", body, nil).Body.String()
+			head := strings.TrimSuffix(plain, "}\n") + `,"trace":`
+			if !strings.HasPrefix(rec.Body.String(), head) {
+				t.Errorf("cache %v: traced body %d is not the untraced body plus its trace:\n%s\n%s", cached, i, rec.Body.String(), plain)
+			}
+		}
+		// Only the untraced selects may have filled the memo: a fresh
+		// server's traced selects leave it empty.
+		s = newTestServer(t)
+		s.SetSelectCacheEnabled(cached)
+		for _, body := range bodies {
+			doJSON(t, s, http.MethodPost, "/api/v1/select?trace=1", body, nil)
+		}
+		n := 0
+		s.Snapshot().sels.Range(func(_, _ interface{}) bool { n++; return true })
+		if n != 0 {
+			t.Errorf("cache %v: %d traced selects left %d per-epoch memo entries, want 0", cached, len(bodies), n)
 		}
 	}
 }

@@ -287,9 +287,9 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 
 // selectRequest is the selection-module request body.
 type selectRequest struct {
-	Budget   int          `json:"budget"`
-	Weights  string       `json:"weights"`  // Iden | LBS | EBS (default LBS)
-	Coverage string       `json:"coverage"` // Single | Prop (default Single)
+	Budget   int    `json:"budget"`
+	Weights  string `json:"weights"`  // Iden | LBS | EBS (default LBS)
+	Coverage string `json:"coverage"` // Single | Prop (default Single)
 	// Rule selects the marginal-gain objective (GET /api/v1/rules lists the
 	// registered names; empty selects the default coverage rule).
 	Rule     string       `json:"rule,omitempty"`
@@ -317,12 +317,12 @@ type selectResponse struct {
 	// Rule names the selection rule that produced the panel. Omitted for the
 	// default coverage rule, keeping default responses byte-identical to
 	// pre-rules servers.
-	Rule          string             `json:"rule,omitempty"`
-	TopKCovered   int                `json:"top_k_covered"`
-	TopK          int                `json:"top_k"`
-	PriorityScore float64            `json:"priority_score,omitempty"`
-	StandardScore float64            `json:"standard_score,omitempty"`
-	Groups        []subsetGroupJSON  `json:"groups"`
+	Rule          string            `json:"rule,omitempty"`
+	TopKCovered   int               `json:"top_k_covered"`
+	TopK          int               `json:"top_k"`
+	PriorityScore float64           `json:"priority_score,omitempty"`
+	StandardScore float64           `json:"standard_score,omitempty"`
+	Groups        []subsetGroupJSON `json:"groups"`
 	// Trace is the per-stage span tree, attached only when the request asks
 	// for it (X-Podium-Trace: 1 or ?trace=1); untraced responses are
 	// byte-identical to pre-trace servers.
@@ -495,7 +495,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			if fb != nil {
 				k.fb = feedbackCacheKey(req.Feedback)
 			}
-			_, data, err := s.selCache.respond(sn, k, rule, fb, opt)
+			data, err := s.selCache.respond(sn, k, rule, fb, opt)
 			s.observeEngine(tim)
 			if err != nil {
 				if fb != nil {
@@ -513,18 +513,25 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if fb == nil {
 		// Feedback-free selections are memoized per epoch: the snapshot is
 		// immutable and greedy is deterministic, so the response is a pure
-		// function of (epoch, schemes, budget, topK).
+		// function of (epoch, schemes, budget, topK). Traced selects compute
+		// afresh and neither read nor fill the memo.
 		gsp := sp.StartChild("select")
-		resp, data, err := sn.SelectResponse(ws, cs, req.Budget, req.TopK, rule, opt)
+		var resp selectResponse
+		var data []byte
+		if sp != nil {
+			resp, err = sn.buildSelect(ws, cs, req.Budget, req.TopK, rule, opt)
+		} else {
+			resp, data, err = sn.SelectResponse(ws, cs, req.Budget, req.TopK, rule, opt)
+		}
 		gsp.End()
-		attachStages(gsp, tim) // empty (cache hit) unless this call computed
+		attachStages(gsp, tim) // empty (memo hit) unless this call computed
 		s.observeEngine(tim)
 		if err != nil {
 			writeError(w, r, http.StatusInternalServerError, codeInternal, "encoding response: %v", err)
 			return
 		}
 		if sp != nil {
-			resp.Trace = sp.JSON() // resp is a copy; the cache keeps Trace nil
+			resp.Trace = sp.JSON()
 			writeJSON(w, r, http.StatusOK, resp)
 			return
 		}
@@ -566,14 +573,7 @@ func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.C
 		resp.StandardScore = custom.StandardScore
 	}
 	for _, ue := range rep.Users {
-		su := selectedUserJSON{ID: int(ue.User), Name: ue.Name, Marginal: ue.Marginal}
-		for i, g := range ue.Groups {
-			if i == 5 {
-				break
-			}
-			su.Groups = append(su.Groups, g.Label)
-		}
-		resp.Users = append(resp.Users, su)
+		resp.Users = append(resp.Users, selectedUserJSON{ID: int(ue.User), Name: ue.Name, Marginal: ue.Marginal, Groups: topGroupLabels(ue)})
 	}
 	for _, sg := range rep.Groups {
 		resp.Groups = append(resp.Groups, subsetGroupJSON{
@@ -586,6 +586,16 @@ func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.C
 		})
 	}
 	return resp
+}
+
+// topGroupLabels returns the labels of a user's five heaviest groups (nil
+// for a user in no group).
+func topGroupLabels(ue explain.User) []string {
+	var out []string
+	for _, g := range ue.Groups[:min(5, len(ue.Groups))] {
+		out = append(out, g.Label)
+	}
+	return out
 }
 
 // handleQuery runs a declarative-language selection (see internal/query).

@@ -124,14 +124,8 @@ func (sn *Snapshot) SelectResponse(ws groups.WeightScheme, cs groups.CoverageSch
 	v, _ := sn.sels.LoadOrStore(k, &selEntry{})
 	e := v.(*selEntry)
 	e.once.Do(func() {
-		inst := sn.Instance(ws, cs, budget)
-		var res *core.Result
-		if res, e.err = core.GreedyRule(inst, budget, rl, opt); e.err != nil {
+		if e.resp, e.err = sn.buildSelect(ws, cs, budget, topK, rl, opt); e.err != nil {
 			return
-		}
-		e.resp = buildSelectResponse(inst, res, nil, topK)
-		if !rl.IsDefault() {
-			e.resp.Rule = rl.Name()
 		}
 		e.data, e.err = json.Marshal(e.resp)
 		if e.err == nil {
@@ -139,6 +133,23 @@ func (sn *Snapshot) SelectResponse(ws groups.WeightScheme, cs groups.CoverageSch
 		}
 	})
 	return e.resp, e.data, e.err
+}
+
+// buildSelect runs one feedback-free selection under rl (non-nil) and builds
+// its response, memoizing nothing. SelectResponse memoizes its result;
+// traced selects call it directly, so their span tree shows the engine's
+// stages and they leave the memo alone.
+func (sn *Snapshot) buildSelect(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, opt core.Options) (selectResponse, error) {
+	inst := sn.Instance(ws, cs, budget)
+	res, err := core.GreedyRule(inst, budget, rl, opt)
+	if err != nil {
+		return selectResponse{}, err
+	}
+	resp := buildSelectResponse(inst, res, nil, topK)
+	if !rl.IsDefault() {
+		resp.Rule = rl.Name()
+	}
+	return resp, nil
 }
 
 // TopKBySize returns the IDs of the k largest groups, memoizing the full

@@ -2,13 +2,15 @@
 # check.sh — the PR gate, runnable directly or via `make check`.
 #
 # Runs, in order:
-#   1. go vet  over every package
-#   2. go vet  over the benchmark module (perfbench/ is its own module, so
+#   1. gofmt -l over the whole tree (both modules); any file it lists fails
+#      the gate
+#   2. go vet  over every package
+#   3. go vet  over the benchmark module (perfbench/ is its own module, so
 #      ./... at the root skips it; this catches a core rename that would
 #      otherwise fail only when the benchmark runs)
-#   3. go build over every package
-#   4. the full test suite
-#   5. the race detector over the concurrent selection engine and the
+#   4. go build over every package
+#   5. the full test suite
+#   6. the race detector over the concurrent selection engine and the
 #      delta-repaired selector state plus the pluggable rule engine's credit
 #      schedules (internal/core), the shared adjacency
 #      structures and their mutation change records (internal/groups), the
@@ -29,6 +31,14 @@
 #      cancellation all race against routing decisions) (internal/shard)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+	echo "gofmt: these files are not formatted (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
