@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check vet build test race bench-engine bench-server bench-campaign bench-faults bench-obs bench-scale bench-steady bench-dist bench-rules
 
-# check is the PR gate: vet, build, full tests, and a race-detector pass over
-# the concurrent selection engine and its adjacency structures.
+# check is the PR gate (scripts/check.sh): gofmt, vet of both modules (the
+# root and perfbench/), build, full tests, and the race detector over the
+# concurrent packages.
 check:
 	./scripts/check.sh
 
@@ -16,8 +17,9 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs check's race step alone; scripts/check.sh holds the package list.
 race:
-	$(GO) test -race ./internal/core ./internal/groups ./internal/server ./internal/repolog ./internal/campaign ./internal/client ./internal/faults ./internal/obs ./internal/codec ./internal/profile ./internal/shard
+	./scripts/check.sh race
 
 # bench-engine regenerates BENCH_selection.json (the selection-engine perf
 # trajectory; see DESIGN.md §7).

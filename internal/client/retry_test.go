@@ -278,16 +278,26 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 // TestBreakerHalfOpenSingleProbeOnWire is the end-to-end form: an open
 // breaker whose cooldown has expired lets exactly one HTTP request reach the
 // recovered server while concurrent callers fail fast with ErrCircuitOpen.
+// The recovered server holds the probe's response until the other fifteen
+// callers have failed fast: a probe answered sooner closes the breaker, and
+// callers arriving after that rightly pass as closed-state requests. The
+// hold is bounded, so a breaker that lets more than one probe through still
+// fails the assertions below rather than hanging.
 func TestBreakerHalfOpenSingleProbeOnWire(t *testing.T) {
 	down := atomic.Bool{}
 	down.Store(true)
 	var hits atomic.Int64
+	burstDone := make(chan struct{})
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		if down.Load() {
 			w.WriteHeader(http.StatusInternalServerError)
 			fmt.Fprint(w, `{"error":"down"}`)
 			return
+		}
+		select {
+		case <-burstDone:
+		case <-time.After(5 * time.Second):
 		}
 		fmt.Fprint(w, `{"name":"up","users":1,"properties":1,"groups":1}`)
 	})
@@ -324,7 +334,9 @@ func TestBreakerHalfOpenSingleProbeOnWire(t *testing.T) {
 			case err == nil:
 				probeOK.Add(1)
 			case errors.Is(err, ErrCircuitOpen):
-				failFast.Add(1)
+				if failFast.Add(1) == 15 {
+					close(burstDone)
+				}
 			default:
 				t.Errorf("unexpected error during half-open burst: %v", err)
 			}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"time"
 
 	"podium/internal/groups"
 	"podium/internal/profile"
@@ -46,25 +49,25 @@ func (f Feedback) Validate(ix *groups.Index) error {
 	return check("Standard", f.Standard)
 }
 
-// standardSet resolves 𝒢_d? under the default rule.
-func (f Feedback) standardSet(ix *groups.Index) map[groups.GroupID]bool {
-	std := make(map[groups.GroupID]bool)
+// tiers resolves 𝒢_d and 𝒢_d? to per-group masks over nG groups, the
+// standard set under the default rule when it is not explicit. A group may
+// be in both when the standard set is explicit; priority wins for its weight.
+func (f Feedback) tiers(nG int) (prio, std []bool) {
+	prio = make([]bool, nG)
+	for _, id := range f.Priority {
+		prio[id] = true
+	}
+	std = make([]bool, nG)
 	if f.StandardExplicit {
 		for _, id := range f.Standard {
 			std[id] = true
 		}
-		return std
-	}
-	prio := make(map[groups.GroupID]bool, len(f.Priority))
-	for _, id := range f.Priority {
-		prio[id] = true
-	}
-	for i := 0; i < ix.NumGroups(); i++ {
-		if !prio[groups.GroupID(i)] {
-			std[groups.GroupID(i)] = true
+	} else {
+		for g := range std {
+			std[g] = !prio[g]
 		}
 	}
-	return std
+	return prio, std
 }
 
 // RefineUsers computes the refined population 𝒰′ of Definition 6.3 as a mask
@@ -72,33 +75,37 @@ func (f Feedback) standardSet(ix *groups.Index) map[groups.GroupID]bool {
 // 𝒢₊, it belongs to at least one of that property's 𝒢₊ buckets (the
 // per-property disjunction that avoids contradictions between buckets of the
 // same property), and it belongs to no group in 𝒢₋.
+//
+// It walks member lists rather than probing every user: met[u] counts the
+// properties u satisfies, one property's listed groups at a time, and a
+// member of property i's groups advances only from i. So a user counts once
+// per property however many of its listed groups hold it, and never again
+// once it has missed an earlier property.
 func RefineUsers(ix *groups.Index, fb Feedback) []bool {
 	n := ix.Repo().NumUsers()
 	allowed := make([]bool, n)
-	for u := range allowed {
-		allowed[u] = true
-	}
-	// 𝒢₊ organized per property.
+	// 𝒢₊ organized per property, properties in first-listed order.
+	var props []profile.PropertyID
 	havePerProp := map[profile.PropertyID][]groups.GroupID{}
 	for _, id := range fb.MustHave {
-		g := ix.Group(id)
-		havePerProp[g.Prop] = append(havePerProp[g.Prop], id)
+		p := ix.Group(id).Prop
+		if _, ok := havePerProp[p]; !ok {
+			props = append(props, p)
+		}
+		havePerProp[p] = append(havePerProp[p], id)
 	}
-	for u := 0; u < n; u++ {
-		uid := profile.UserID(u)
-		for _, ids := range havePerProp {
-			ok := false
-			for _, id := range ids {
-				if ix.Group(id).Contains(uid) {
-					ok = true
-					break
+	met := make([]int32, n)
+	for i, p := range props {
+		for _, id := range havePerProp[p] {
+			for _, m := range ix.Group(id).Members {
+				if met[m] == int32(i) {
+					met[m] = int32(i + 1)
 				}
 			}
-			if !ok {
-				allowed[u] = false
-				break
-			}
 		}
+	}
+	for u, c := range met {
+		allowed[u] = c == int32(len(props))
 	}
 	for _, id := range fb.MustNot {
 		for _, member := range ix.Group(id).Members {
@@ -117,33 +124,72 @@ func RefineUsers(ix *groups.Index, fb Feedback) []bool {
 // digit vectors — so customized EBS falls back to float weights and is only
 // exact while they fit in float64.
 func CustomInstance(base *groups.Instance, fb Feedback) *groups.Instance {
-	ix := base.Index
-	std := fb.standardSet(ix)
-	prio := make(map[groups.GroupID]bool, len(fb.Priority))
-	for _, id := range fb.Priority {
-		prio[id] = true
-	}
-	// M must exceed the maximum standard-tier score Σ_{G∈𝒢_d?} wei(G)·cov(G).
+	prio, std := fb.tiers(base.Index.NumGroups())
+	// M must exceed the maximum standard-tier score Σ_{G∈𝒢_d?} wei(G)·cov(G),
+	// summed in ascending group order so inexact sums are reproducible.
 	var maxStd float64
-	for id := range std {
-		maxStd += base.Wei[id] * float64(base.Cov[id])
+	for g, ok := range std {
+		if ok {
+			maxStd += base.Wei[g] * float64(base.Cov[g])
+		}
 	}
 	m := maxStd + 1
 	wei := make([]float64, len(base.Wei))
 	for i := range wei {
-		id := groups.GroupID(i)
 		switch {
-		case prio[id]:
+		case prio[i]:
 			wei[i] = base.Wei[i] * m
-		case std[id]:
+		case std[i]:
 			wei[i] = base.Wei[i]
-		default:
-			wei[i] = 0
 		}
 	}
 	cov := make([]int, len(base.Cov))
 	copy(cov, base.Cov)
-	return &groups.Instance{Index: ix, Wei: wei, Cov: cov}
+	return &groups.Instance{Index: base.Index, Wei: wei, Cov: cov}
+}
+
+// tieredBase returns tiered's empty-selection base row (tiered.BaseMarginals)
+// derived from base's memoized one, or nil when the loop must sum it afresh.
+// tiered is CustomInstance(base, ·): same index and coverage, new weights on
+// the groups feedback touches. The row is a private copy of base's with
+// tiered.Wei[g] − base.Wei[g] added to the members of every covered group
+// whose weight changed — under default standard sets just the priority
+// groups, so O(n + their links) instead of the fresh O(links) sum.
+//
+// Exactness gate: the derivation runs only when, on covered groups, every
+// weight of both instances is a non-negative integer and their total is below
+// 2^52. Then every partial sum on either route, and every delta, is an integer
+// below 2^52, exactly representable, so the derived row equals the fresh sum
+// bit for bit. Non-integer weights and tiered EBS weights fail the gate, which
+// is checked before base's memo is touched.
+func tieredBase(base, tiered *groups.Instance) []float64 {
+	var total float64
+	for g, c := range base.Cov {
+		if c <= 0 {
+			continue
+		}
+		for _, w := range [2]float64{base.Wei[g], tiered.Wei[g]} {
+			if !(w >= 0) || w != math.Trunc(w) {
+				return nil
+			}
+			total += w
+		}
+	}
+	if !(total < 1<<52) {
+		return nil
+	}
+	row := slices.Clone(base.BaseMarginals())
+	csr := base.Index.CSR()
+	for g, c := range base.Cov {
+		d := tiered.Wei[g] - base.Wei[g]
+		if c <= 0 || d == 0 {
+			continue
+		}
+		for _, m := range csr.Members(groups.GroupID(g)) {
+			row[m] += d
+		}
+	}
+	return row
 }
 
 // CustomResult augments a selection result with the per-tier decomposition
@@ -168,32 +214,41 @@ func GreedyCustom(base *groups.Instance, fb Feedback, budget int) (*CustomResult
 
 // GreedyCustomOpts is GreedyCustom with explicit engine Options. The refined
 // population 𝒰′ is often a small fraction of 𝒰; the engine's compacted
-// candidate list makes the per-pick argmax O(|𝒰′|) rather than O(n) here.
+// candidate list makes the per-pick argmax O(|𝒰′|) rather than O(n) here. The
+// loop starts from a row derived from base's memoized base marginals where
+// that is exact (tieredBase); its cost counts toward StageTimings.InitNs.
 func GreedyCustomOpts(base *groups.Instance, fb Feedback, budget int, opt Options) (*CustomResult, error) {
 	if err := fb.Validate(base.Index); err != nil {
 		return nil, err
 	}
 	allowed := RefineUsers(base.Index, fb)
 	tiered := CustomInstance(base, fb)
-	res := GreedyRestrictedOpts(tiered, budget, allowed, opt)
-	out := &CustomResult{Result: res, Allowed: allowed}
-	// Decompose for reporting, using base weights per tier.
-	std := fb.standardSet(base.Index)
-	prio := make(map[groups.GroupID]bool, len(fb.Priority))
-	for _, id := range fb.Priority {
-		prio[id] = true
+	var t0 time.Time
+	if opt.Timings != nil {
+		t0 = time.Now()
 	}
+	seed := tieredBase(base, tiered)
+	if opt.Timings != nil {
+		opt.Timings.InitNs += time.Since(t0).Nanoseconds()
+	}
+	res := greedy(tiered, greedySpec{budget: budget, allowed: allowed, opt: opt, seed: seed})
+	out := &CustomResult{Result: res, Allowed: allowed}
+	// Decompose for reporting, using base weights per tier, in ascending
+	// group order so inexact sums are reproducible.
+	prio, std := fb.tiers(base.Index.NumGroups())
 	hit := map[groups.GroupID]int{}
+	var touched []groups.GroupID
 	for _, u := range res.Users {
 		for _, g := range base.Index.UserGroups(u) {
+			if hit[g] == 0 {
+				touched = append(touched, g)
+			}
 			hit[g]++
 		}
 	}
-	for g, n := range hit {
-		if n > base.Cov[g] {
-			n = base.Cov[g]
-		}
-		v := base.Wei[g] * float64(n)
+	slices.Sort(touched)
+	for _, g := range touched {
+		v := base.Wei[g] * float64(min(hit[g], base.Cov[g]))
 		switch {
 		case prio[g]:
 			out.PriorityScore += v

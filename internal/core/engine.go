@@ -29,10 +29,14 @@ import (
 //  3. The start row marg_{u,·} is an O(n) copy where one exists: of
 //     Instance.BaseMarginals (memoized per instance, so per epoch on the
 //     server) for the coverage rule, of Instance.RuleBase (memoized per
-//     instance and rule) for the other rules, or of a SelectorState's
-//     delta-repaired base. Only runs from start positions (a partial panel's
-//     hits) sum it afresh (Rule.baseFrom). Every start sums each user's CSR
-//     row in ascending group order, so all of them produce the same floats.
+//     instance and rule) for the other rules, or of a seed: a
+//     SelectorState's delta-repaired base, or a customized select's tiered
+//     row derived from its base instance's memo (custom.go). Only runs from
+//     start positions (a partial panel's hits) sum it afresh
+//     (Rule.baseFrom). Every summed start adds each user's CSR row in
+//     ascending group order, so all of them produce the same floats; the
+//     derived tiered row matches them because its exactness gate admits
+//     only integer sums below 2^52.
 //
 //  4. Per group the loop tracks only the selected-member count. When a pick
 //     moves a group down its schedule, the credit drop is retracted from
@@ -65,8 +69,8 @@ type greedySpec struct {
 	// The start point; both nil starts from the empty selection. t0[g]
 	// pre-advances group g's schedule by t0[g] selected members (a partial
 	// panel's hits). seed is the rule's empty-selection base row (a
-	// SelectorState's repaired base), copied, never written. At most one is
-	// set.
+	// SelectorState's repaired base, or a customized select's derived tiered
+	// row), copied, never written. At most one is set.
 	t0   []int
 	seed []float64
 	// rng, when set, breaks argmax ties uniformly at random (NoisyGreedy),

@@ -36,7 +36,8 @@ type StageTimings struct {
 	// Picks counts greedy picks (argmax rounds) across those runs.
 	Picks int
 	// InitNs is candidate-list construction plus the start row (a copy of
-	// a memoized or seeded base, or a fresh rule sum) and schedule setup.
+	// a memoized or seeded base, or a fresh rule sum) and schedule setup;
+	// for a customized select it includes deriving the seed (custom.go).
 	InitNs int64
 	// ArgmaxNs is the per-pick argmax scans, including MergeNs.
 	ArgmaxNs int64

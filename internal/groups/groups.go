@@ -603,9 +603,12 @@ func NewInstance(ix *Index, ws WeightScheme, cs CoverageScheme, budget int) *Ins
 }
 
 // Score computes score_𝒢(U) = Σ_G wei(G)·min(|U∩G|, cov(G)) (Definition
-// 3.3). U may contain duplicates; they are counted once.
+// 3.3). U may contain duplicates; they are counted once. The sum runs in
+// ascending GroupID order, so an inexact sum (large EBS weights) gives the
+// same bits on every call.
 func (inst *Instance) Score(users []profile.UserID) float64 {
 	hit := make(map[GroupID]int)
+	var touched []GroupID
 	seen := make(map[profile.UserID]bool, len(users))
 	for _, u := range users {
 		if seen[u] {
@@ -613,15 +616,16 @@ func (inst *Instance) Score(users []profile.UserID) float64 {
 		}
 		seen[u] = true
 		for _, g := range inst.Index.UserGroups(u) {
+			if hit[g] == 0 {
+				touched = append(touched, g)
+			}
 			hit[g]++
 		}
 	}
+	slices.Sort(touched)
 	var total float64
-	for g, n := range hit {
-		if n > inst.Cov[g] {
-			n = inst.Cov[g]
-		}
-		total += inst.Wei[g] * float64(n)
+	for _, g := range touched {
+		total += inst.Wei[g] * float64(min(hit[g], inst.Cov[g]))
 	}
 	return total
 }

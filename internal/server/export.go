@@ -44,6 +44,14 @@ func WriteJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}
 	writeJSON(w, r, status, v)
 }
 
+// WriteJSONRaw writes pre-marshaled JSON bytes as they are (no trailing
+// newline is added). A failed or short body write aborts the connection
+// after logging, so the client sees a transport error rather than a
+// truncated 200.
+func WriteJSONRaw(w http.ResponseWriter, status int, data []byte) {
+	writeJSONRaw(w, status, data)
+}
+
 // WriteError writes the unified error envelope.
 func WriteError(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...interface{}) {
 	writeError(w, r, status, code, format, args...)

@@ -35,16 +35,20 @@ import (
 // mesh exemplar's "serve until lastChangedAt passes the entry" shape, with
 // the bucket partition deciding relevance.
 //
-// A miss does not recompute from scratch. Per (weights, coverage, budget)
-// the cache keeps a selState — a core.SelectorState plus the watermark it is
-// synced to. The per-user watermark array replays exactly which rows changed
-// in (state's seq, snapshot's seq], the state repairs those rows, and the
-// selection re-runs seeded from the repaired base: O(Δ + n·k) instead of
-// O(links + n·k), bit-identical to a fresh greedy by the SelectorState
-// contract. Group-granular watermarks serve diagnostics and the reshape
-// fence; the full response depends on every group's weight (the explanation
-// report ranks all groups), so response validity itself is gated on the
-// global watermark — exact, because irrelevant writes never advance it.
+// A feedback-free miss does not recompute from scratch. Per (weights,
+// coverage, budget) the cache keeps a selState — a core.SelectorState plus
+// the watermark it is synced to. The per-user watermark array replays exactly
+// which rows changed in (state's seq, snapshot's seq], the state repairs
+// those rows, and the selection re-runs seeded from the repaired base:
+// O(Δ + n·k) instead of O(links + n·k), bit-identical to a fresh greedy by
+// the SelectorState contract. A feedback miss skips the state: it runs the
+// customized greedy on the snapshot's memoized instance, whose base row the
+// tiered start row derives from (core.GreedyCustomOpts), so concurrent
+// feedback misses never queue on one state's lock. Group-granular watermarks
+// serve diagnostics and the reshape fence; the full response depends on
+// every group's weight (the explanation report ranks all groups), so
+// response validity itself is gated on the global watermark — exact, because
+// irrelevant writes never advance it.
 type selectCache struct {
 	met *obs.SelectCacheMetrics
 
@@ -315,11 +319,21 @@ func (c *selectCache) respond(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 	return data, nil
 }
 
-// compute produces the response for k against sn, repairing (or recomputing)
-// the per-parameter selector state first. Errors come from feedback
-// validation (the caller maps them to 400) — the feedback-free path cannot
-// fail.
+// compute produces the response for k against sn. A feedback-free select
+// repairs (or recomputes) the per-parameter selector state first and runs
+// seeded from it; a feedback select runs on the snapshot's instance alone.
+// Errors come from feedback validation (the caller maps them to 400) — the
+// feedback-free path cannot fail.
 func (c *selectCache) compute(sn *Snapshot, k selCacheKey, r *core.Rule, fb *core.Feedback, opt core.Options) (selectResponse, error) {
+	if fb != nil {
+		// A feedback select reads only its instance, never the selector
+		// state, so it neither syncs nor locks it: concurrent feedback
+		// selects at one budget run side by side.
+		start := time.Now()
+		resp, err := c.buildResponse(sn.Instance(k.ws, k.cs, k.budget), k, r, fb, opt)
+		c.selectNs.Add(uint64(time.Since(start).Nanoseconds()))
+		return resp, err
+	}
 	target := sn.ChangeSeq()
 	st := c.state(selStateKey{k.ws, k.cs, k.budget, k.rule}, r)
 	st.mu.Lock()
@@ -353,25 +367,12 @@ func (c *selectCache) compute(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 		// while the state already advanced; states never rewind, so compute
 		// against the reader's snapshot without touching the state.
 		inst := sn.Instance(k.ws, k.cs, k.budget)
-		return c.buildResponse(inst, k, r, fb, opt)
+		return c.buildResponse(inst, k, r, nil, opt)
 	}
 	start := time.Now()
-	resp, err := c.stateResponse(st, k, fb, opt)
+	resp := buildSelectResponse(st.inst, st.st.Select(st.inst, k.budget, opt), nil, k.topK)
 	c.selectNs.Add(uint64(time.Since(start).Nanoseconds()))
-	return resp, err
-}
-
-// stateResponse runs the selection against a synced state's instance.
-func (c *selectCache) stateResponse(st *selState, k selCacheKey, fb *core.Feedback, opt core.Options) (selectResponse, error) {
-	if fb != nil {
-		custom, err := core.GreedyCustomOpts(st.inst, *fb, k.budget, opt)
-		if err != nil {
-			return selectResponse{}, err
-		}
-		return buildSelectResponse(st.inst, custom.Result, custom, k.topK), nil
-	}
-	res := st.st.Select(st.inst, k.budget, opt)
-	return buildSelectResponse(st.inst, res, nil, k.topK), nil
+	return resp, nil
 }
 
 // buildResponse is the stateless fallback: a fresh selection on the

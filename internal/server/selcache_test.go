@@ -2,8 +2,15 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+
+	"podium/internal/groups"
+	"podium/internal/synth"
 )
 
 // TestSelectCachePrettyVariant: ?pretty=1 and compact responses are distinct
@@ -194,5 +201,53 @@ func TestSelectCacheDisabled(t *testing.T) {
 	s.SetSelectCacheEnabled(true)
 	if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), a.Body.Bytes()) {
 		t.Fatal("re-enabled cache diverged from the snapshot-memoized response")
+	}
+}
+
+// TestSelectCacheConcurrentFeedback: feedback selects at one budget from
+// eight goroutines get exactly the bytes sequential ones get, and no
+// feedback miss creates or syncs a selector state.
+func TestSelectCacheConcurrentFeedback(t *testing.T) {
+	repo := synth.Generate(synth.ScaleLike(600)).Repo
+	cfg := groups.Config{K: 3}
+	bodies := make([]string, 16)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"budget":6,"feedback":{"priority":[%d,%d],"must_not":[%d]}}`, i, 40+i, 80+i)
+	}
+	seq := New("sequential", repo, cfg, nil)
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		rec := doJSON(t, seq, http.MethodPost, "/api/v1/select", body, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", body, rec.Code, rec.Body.String())
+		}
+		want[i] = rec.Body.Bytes()
+	}
+	s := New("concurrent", repo, cfg, nil)
+	got := make([][]byte, len(bodies))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(bodies); i += 8 {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(bodies[i])))
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: HTTP %d: %s", bodies[i], rec.Code, rec.Body.String())
+				}
+				got[i] = rec.Body.Bytes()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range bodies {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: concurrent bytes differ from the sequential ones", bodies[i])
+		}
+	}
+	st := s.SelectCacheStats()
+	if st.Misses != uint64(len(bodies)) || st.Repairs+st.Recomputes != 0 {
+		t.Fatalf("stats %+v: want %d misses and no selector-state sync", st, len(bodies))
 	}
 }

@@ -301,9 +301,7 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, r, http.StatusInternalServerError, server.CodeInternal, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	server.WriteJSONRaw(w, http.StatusOK, data)
 }
 
 // fanoutSelect runs round 1 on every shard concurrently, each shard's call

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -309,3 +311,27 @@ func TestCoordinatorErrorEnvelope(t *testing.T) {
 		t.Fatalf("total-loss envelope = code %q status %d, want %q/503", ae.Code, ae.Status, server.CodeUnavailable)
 	}
 }
+
+// TestCoordinatorAbortsOnFailedBodyWrite: once the 200 header is out, a
+// select body the writer cannot take whole must abort the connection
+// (http.ErrAbortHandler), never leave the client a truncated 200.
+func TestCoordinatorAbortsOnFailedBodyWrite(t *testing.T) {
+	h := newCoordHarness(t, 120, 2)
+	rec := httptest.NewRecorder()
+	defer func() {
+		if e := recover(); e != http.ErrAbortHandler {
+			t.Fatalf("recovered %v, want http.ErrAbortHandler", e)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d before the body write, want 200", rec.Code)
+		}
+	}()
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(`{"budget":3}`))
+	h.coord.ServeHTTP(failingWriter{rec}, req)
+	t.Fatal("failed body write did not abort the connection")
+}
+
+// failingWriter takes the header but fails every body write.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, errors.New("wire cut") }

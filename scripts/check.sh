@@ -29,8 +29,23 @@
 #      coordinator's fan-out/merge, and the replica health registry with its
 #      hedged router (probe loop, passive outcome notes and hedge
 #      cancellation all race against routing decisions) (internal/shard)
+#
+# `./scripts/check.sh race` (what `make race` runs) runs step 6 alone; the
+# package list below is the only copy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+race_pkgs=(./internal/core ./internal/groups ./internal/server ./internal/repolog ./internal/campaign ./internal/client ./internal/faults ./internal/obs ./internal/codec ./internal/profile ./internal/shard)
+
+race() {
+	echo "== go test -race ${race_pkgs[*]}"
+	go test -race "${race_pkgs[@]}"
+}
+
+if [[ "${1:-}" == race ]]; then
+	race
+	exit
+fi
 
 echo "== gofmt -l ."
 unformatted="$(gofmt -l .)"
@@ -52,7 +67,6 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race ./internal/core ./internal/groups ./internal/server ./internal/repolog ./internal/campaign ./internal/client ./internal/faults ./internal/obs ./internal/codec ./internal/profile ./internal/shard"
-go test -race ./internal/core ./internal/groups ./internal/server ./internal/repolog ./internal/campaign ./internal/client ./internal/faults ./internal/obs ./internal/codec ./internal/profile ./internal/shard
+race
 
 echo "check: all green"
