@@ -3,8 +3,9 @@ GO ?= go
 .PHONY: check vet build test race bench-engine bench-server bench-campaign bench-faults bench-obs bench-scale bench-steady bench-dist bench-rules
 
 # check is the PR gate (scripts/check.sh): gofmt, vet of both modules (the
-# root and perfbench/), build, full tests, and the race detector over the
-# concurrent packages.
+# root and perfbench/), build, full tests, the race detector over the
+# concurrent packages, and a 15 s fuzz run of the client's select-body
+# decoder.
 check:
 	./scripts/check.sh
 

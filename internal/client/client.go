@@ -438,9 +438,15 @@ func (c *Client) canRetry(method string, status int) bool {
 	return method == http.MethodGet || c.retry.opts.RetryNonIdempotent
 }
 
+// maxResponseBytes caps the response body the client reads.
+const maxResponseBytes = 64 << 20
+
+// decode reads one response and decodes a 200's body into out. A
+// *Selection is decoded by decodeSelection; its value and error are
+// json.Unmarshal's.
 func decode(resp *http.Response, path string, out interface{}) error {
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp, maxResponseBytes)
 	if err != nil {
 		return fmt.Errorf("client: reading %s response: %w", path, err)
 	}
@@ -450,8 +456,39 @@ func decode(resp *http.Response, path string, out interface{}) error {
 		}
 		return fmt.Errorf("client: %s: HTTP %d", path, resp.StatusCode)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if sel, ok := out.(*Selection); ok {
+		err = decodeSelection(data, sel)
+	} else {
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil
+}
+
+// readBody reads a response body of at most limit bytes. A declared
+// Content-Length is read into one buffer of that size, and a declared length
+// over the limit fails before anything is allocated; a body that ends short
+// of its declared length fails with io.ErrUnexpectedEOF. A body of unknown
+// length that runs past the limit fails instead of being cut off.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("declared length %d bytes exceeds the client's %d-byte response cap", resp.ContentLength, limit)
+	}
+	if resp.ContentLength >= 0 {
+		data := make([]byte, resp.ContentLength)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("body exceeds the client's %d-byte response cap", limit)
+	}
+	return data, nil
 }

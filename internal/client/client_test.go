@@ -1,7 +1,11 @@
 package client
 
 import (
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -161,5 +165,69 @@ func TestClientConnectionError(t *testing.T) {
 	c := New("http://127.0.0.1:1", nil) // nothing listens on port 1
 	if _, err := c.Status(); err == nil {
 		t.Fatal("dead server produced no error")
+	}
+}
+
+// bodyResponse is a response whose body is body and whose declared length
+// is length (−1 when undeclared, as for a chunked body).
+func bodyResponse(body io.Reader, length int64) *http.Response {
+	return &http.Response{Body: io.NopCloser(body), ContentLength: length}
+}
+
+// unreadable fails the test that reads it.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("body read despite a declared length over the cap")
+	return 0, io.EOF
+}
+
+// TestReadBodyCap: a body of unknown length past the cap fails with an
+// error naming the cap instead of being cut off; a declared length over the
+// cap fails before the body is read or a buffer allocated (a 1 PiB buffer
+// could not be); a body that ends short of its declared length fails.
+func TestReadBodyCap(t *testing.T) {
+	const limit = 1 << 10
+	for _, length := range []int64{-1, limit} {
+		data, err := readBody(bodyResponse(strings.NewReader(strings.Repeat("x", limit)), length), limit)
+		if err != nil || len(data) != limit {
+			t.Fatalf("body at the cap, declared %d: %d bytes, %v", length, len(data), err)
+		}
+	}
+	_, err := readBody(bodyResponse(strings.NewReader(strings.Repeat("x", limit+1)), -1), limit)
+	if err == nil || !strings.Contains(err.Error(), "1024-byte response cap") {
+		t.Fatalf("undeclared body past the cap: %v, want an error naming the cap", err)
+	}
+	_, err = readBody(bodyResponse(unreadable{t}, 1<<50), limit)
+	if err == nil || !strings.Contains(err.Error(), "1024-byte response cap") {
+		t.Fatalf("declared length over the cap: %v, want an error naming the cap", err)
+	}
+	_, err = readBody(bodyResponse(strings.NewReader(`{"users":`), 100), limit)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestClientRejectsBadLengths: over the wire, a declared length over the
+// client's cap and a body cut short of its declared length both fail the
+// select.
+func TestClientRejectsBadLengths(t *testing.T) {
+	for _, tc := range []struct {
+		length string
+		body   string
+		want   string
+	}{
+		{strconv.Itoa(maxResponseBytes + 1), "", "67108864-byte response cap"},
+		{"100", `{"users":[`, "unexpected EOF"},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", tc.length)
+			io.WriteString(w, tc.body)
+		}))
+		_, err := New(ts.URL, nil).Select(SelectRequest{Budget: 2})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Content-Length %s with %d body bytes: %v, want an error with %q", tc.length, len(tc.body), err, tc.want)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -119,14 +120,17 @@ func (c ObsConfig) withDefaults() ObsConfig {
 	return c
 }
 
-// obsSelects runs iters uncached selections (per-request priority feedback
-// cycles through the group universe, defeating the memoized path) and
-// returns per-request latencies in seconds.
-func obsSelects(h http.Handler, cfg ObsConfig, numGroups, iters int) []float64 {
+// obsSelects runs iters uncached selections and returns per-request
+// latencies in seconds. Select number *seq of the run carries the priority
+// feedback obsPriority(*seq) — a list no earlier select sent, across
+// warm-up, trials and modes — so the select cache answers none of them and
+// every timed request runs the greedy engine.
+func obsSelects(h http.Handler, cfg ObsConfig, numGroups int, seq *int, iters int) []float64 {
 	lat := make([]float64, 0, iters)
 	for i := 0; i < iters; i++ {
-		body := fmt.Sprintf(`{"budget":%d,"feedback":{"priority":[%d]}}`,
-			cfg.Budget, i%numGroups)
+		body := fmt.Sprintf(`{"budget":%d,"feedback":{"priority":%s}}`,
+			cfg.Budget, obsPriority(*seq, numGroups))
+		*seq++
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		t0 := time.Now()
@@ -137,6 +141,16 @@ func obsSelects(h http.Handler, cfg ObsConfig, numGroups, iters int) []float64 {
 		}
 	}
 	return lat
+}
+
+// obsPriority renders seq's digits in base numGroups, most significant
+// first, as a JSON list of group IDs: distinct seqs give distinct lists.
+func obsPriority(seq, numGroups int) string {
+	ids := []string{strconv.Itoa(seq % numGroups)}
+	for seq /= numGroups; seq > 0; seq /= numGroups {
+		ids = append([]string{strconv.Itoa(seq % numGroups)}, ids...)
+	}
+	return "[" + strings.Join(ids, ",") + "]"
 }
 
 func meanMs(lat []float64) float64 {
@@ -185,16 +199,17 @@ func RunObsSuite(cfg ObsConfig) (*Table, *ObsReport, error) {
 
 	// Warm both paths (JIT-free, but page cache, memo tables and the first
 	// histogram allocations should not land in a measured trial).
+	seq := 0
 	for _, on := range []bool{true, false} {
 		srv.SetObsEnabled(on)
-		obsSelects(srv, cfg, numGroups, 4)
+		obsSelects(srv, cfg, numGroups, &seq, 4)
 	}
 
 	best := map[bool]*ObsRunStats{true: {}, false: {}}
 	for trial := 0; trial < cfg.Trials; trial++ {
 		for _, on := range []bool{false, true} {
 			srv.SetObsEnabled(on)
-			lat := obsSelects(srv, cfg, numGroups, cfg.SelectIters)
+			lat := obsSelects(srv, cfg, numGroups, &seq, cfg.SelectIters)
 			b := best[on]
 			if m := meanMs(lat); b.SelectSamples == 0 || m < b.SelectMeanMs {
 				b.SelectMeanMs = m

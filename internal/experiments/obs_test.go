@@ -9,7 +9,7 @@ func TestObsSuiteShapes(t *testing.T) {
 	tab, rep, err := RunObsSuite(ObsConfig{
 		Seed: 7, Users: 300, Props: 400, Clients: 2,
 		Duration:    150 * time.Millisecond,
-		SelectIters: 8, Trials: 2,
+		SelectIters: 120, Trials: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

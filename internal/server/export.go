@@ -126,8 +126,11 @@ func (sn *Snapshot) RenderSelection(ws groups.WeightScheme, cs groups.CoverageSc
 	rep := explain.NewReport(inst, res, topK)
 	body.Score = inst.Score(res.Users)
 	body.TopK, body.TopKCovered = rep.TopK, rep.TopKCovered
-	for _, ue := range rep.Users {
-		body.Users = append(body.Users, clusterUserJSON{ID: int(ue.User), Marginal: ue.Marginal, Name: ue.Name, Groups: topGroupLabels(ue)})
+	if len(rep.Users) > 0 { // an empty panel encodes as null
+		body.Users = make([]clusterUserJSON, len(rep.Users))
+	}
+	for i, ue := range rep.Users {
+		body.Users[i] = clusterUserJSON{ID: int(ue.User), Marginal: ue.Marginal, Name: ue.Name, Groups: topGroupLabels(ue)}
 	}
 	body.Groups = make([]clusterGroupJSON, len(rep.Groups))
 	for i, sg := range rep.Groups {

@@ -167,13 +167,16 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}
 }
 
 // writeJSONRaw writes JSON bytes pre-marshaled by a snapshot's response
-// cache, skipping re-encoding on the hot path. Once the header is out a
-// failed or short body write cannot be turned into an error status; instead
-// of leaving a silently truncated payload that parses as broken JSON
-// downstream, it logs and aborts the connection (http.ErrAbortHandler) so
-// the client sees a transport error.
+// cache, skipping re-encoding on the hot path. It declares the body's
+// Content-Length, so a large body goes out unchunked and a client can read
+// it into one buffer of that size. Once the header is out a failed or short
+// body write cannot be turned into an error status; instead of leaving a
+// silently truncated payload that parses as broken JSON downstream, it logs
+// and aborts the connection (http.ErrAbortHandler) so the client sees a
+// transport error.
 func writeJSONRaw(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(status)
 	if n, err := w.Write(data); err != nil || n < len(data) {
 		log.Printf("server: aborting connection: wrote %d/%d response bytes: %v", n, len(data), err)
@@ -572,18 +575,25 @@ func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.C
 		resp.PriorityScore = custom.PriorityScore
 		resp.StandardScore = custom.StandardScore
 	}
-	for _, ue := range rep.Users {
-		resp.Users = append(resp.Users, selectedUserJSON{ID: int(ue.User), Name: ue.Name, Marginal: ue.Marginal, Groups: topGroupLabels(ue)})
+	// An empty panel or index keeps its list nil, which encodes as null.
+	if len(rep.Users) > 0 {
+		resp.Users = make([]selectedUserJSON, len(rep.Users))
 	}
-	for _, sg := range rep.Groups {
-		resp.Groups = append(resp.Groups, subsetGroupJSON{
+	for i, ue := range rep.Users {
+		resp.Users[i] = selectedUserJSON{ID: int(ue.User), Name: ue.Name, Marginal: ue.Marginal, Groups: topGroupLabels(ue)}
+	}
+	if len(rep.Groups) > 0 {
+		resp.Groups = make([]subsetGroupJSON, len(rep.Groups))
+	}
+	for i, sg := range rep.Groups {
+		resp.Groups[i] = subsetGroupJSON{
 			ID:       int(sg.Group.ID),
 			Label:    sg.Group.Label,
 			Weight:   sg.Group.Weight,
 			Required: sg.Required,
 			Actual:   sg.Actual,
 			Covered:  sg.Covered,
-		})
+		}
 	}
 	return resp
 }
@@ -591,9 +601,12 @@ func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.C
 // topGroupLabels returns the labels of a user's five heaviest groups (nil
 // for a user in no group).
 func topGroupLabels(ue explain.User) []string {
-	var out []string
-	for _, g := range ue.Groups[:min(5, len(ue.Groups))] {
-		out = append(out, g.Label)
+	if len(ue.Groups) == 0 {
+		return nil
+	}
+	out := make([]string, min(5, len(ue.Groups)))
+	for i := range out {
+		out[i] = ue.Groups[i].Label
 	}
 	return out
 }

@@ -245,7 +245,9 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 		Weights:  req.Weights,
 		Coverage: req.Coverage,
 		Rule:     req.Rule,
-		TopK:     1, // shard-side explanation stats are discarded; keep them cheap
+		// top_k sizes only the headline statistic, which the merge ignores;
+		// every leg still lists every group of its shard's index.
+		TopK: 1,
 	})
 	co.met.Latency.Observe(time.Since(start).Seconds())
 	fsp.End()

@@ -29,6 +29,11 @@
 #      coordinator's fan-out/merge, and the replica health registry with its
 #      hedged router (probe loop, passive outcome notes and hedge
 #      cancellation all race against routing decisions) (internal/shard)
+#   7. a bounded fuzz run (15 s) of the client's direct select-body decoder
+#      (FuzzDecodeSelection in internal/client) against json.Unmarshal.
+#      -fuzzminimizetime 100x caps the shrinking of each new input: unbounded,
+#      the run spends its 15 s minimizing the first input it derives from a
+#      multi-kilobyte body seed and executes only a few hundred inputs
 #
 # `./scripts/check.sh race` (what `make race` runs) runs step 6 alone; the
 # package list below is the only copy.
@@ -68,5 +73,8 @@ echo "== go test ./..."
 go test ./...
 
 race
+
+echo "== go test -fuzz FuzzDecodeSelection ./internal/client"
+go test -run '^$' -fuzz '^FuzzDecodeSelection$' -fuzztime 15s -fuzzminimizetime 100x ./internal/client
 
 echo "check: all green"
