@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-engine bench-server bench-campaign bench-faults bench-obs bench-scale bench-steady bench-dist bench-rules
+.PHONY: check vet build test race bench-engine bench-campaign bench-faults bench-obs bench-scale bench-dist bench-rules
 
 # check is the PR gate (scripts/check.sh): gofmt, vet of both modules (the
 # root and perfbench/), build, full tests, the race detector over the
@@ -27,11 +27,6 @@ race:
 bench-engine:
 	$(GO) run ./cmd/podium-bench -suite engine
 
-# bench-server regenerates BENCH_server.json: snapshot serving vs the
-# single-mutex baseline on a mixed read/write workload (DESIGN.md §8).
-bench-server:
-	$(GO) run ./cmd/podium-bench -suite server
-
 # bench-campaign regenerates BENCH_campaign.json: procurement campaigns under
 # a non-response sweep — rounds/sec, repair latency, and repaired vs
 # no-repair coverage (DESIGN.md §9).
@@ -55,13 +50,6 @@ bench-scale:
 # overhead with observability enabled vs disabled (DESIGN.md §11).
 bench-obs:
 	$(GO) run ./cmd/podium-bench -suite obs
-
-# bench-steady regenerates BENCH_steady.json: steady-state select throughput
-# under a 1:10 write:read stream at 10K/100K users — the watermark-keyed
-# select cache + delta-repaired selector state vs recompute-every-epoch
-# (DESIGN.md §13).
-bench-steady:
-	$(GO) run ./cmd/podium-bench -suite steady
 
 # bench-rules regenerates BENCH_rules.json: every registered selection rule
 # timed on the 10K/100K-user scale instance — per-rule latency vs the default

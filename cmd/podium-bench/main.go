@@ -18,14 +18,12 @@
 //	podium-bench extra          # extended baselines: stratified, max-min distance
 //	podium-bench noise          # randomized selection (future work, §10)
 //	podium-bench engine         # selection-engine timings → BENCH_selection.json
-//	podium-bench serve          # serving architectures → BENCH_server.json
 //	podium-bench campaign       # procurement campaigns → BENCH_campaign.json
 //	podium-bench faults         # hardened serving under faults → BENCH_faults.json
 //	podium-bench obs            # observability overhead → BENCH_obs.json
-//	podium-bench steady         # selects under live writes → BENCH_steady.json
 //	podium-bench dist           # sharded GreeDi selection vs exact → BENCH_dist.json
 //	podium-bench rules          # selection rules: latency + trade-off → BENCH_rules.json
-//	podium-bench -suite server  # flag form of the same
+//	podium-bench -suite engine  # flag form of a suite
 //	podium-bench all -scale 800
 package main
 
@@ -53,11 +51,11 @@ func main() {
 	csvOut := fs.Bool("csv", false, "emit CSV instead of aligned tables (for plotting)")
 	svgDir := fs.String("svgdir", "", "also write each table as an SVG chart into this directory")
 	suite := fs.String("suite", "", "suite to run (alternative to the positional subcommand)")
-	out := fs.String("out", "", "JSON report path (default: BENCH_selection.json for engine, BENCH_server.json for server)")
+	out := fs.String("out", "", "JSON report path (default: the suite's BENCH_<name>.json, BENCH_selection.json for engine)")
 	par := fs.Int("parallelism", runtime.NumCPU(), "engine suite: worker count of the parallel variant")
-	clients := fs.Int("clients", 8, "server suite: concurrent closed-loop clients")
-	writePct := fs.Int("writes", 10, "server suite: percentage of mutating operations")
-	duration := fs.Duration("duration", 2*time.Second, "server suite: measured run length per server")
+	clients := fs.Int("clients", 8, "obs and faults suites: concurrent closed-loop clients")
+	writePct := fs.Int("writes", 10, "faults suite: percentage of mutating operations")
+	duration := fs.Duration("duration", 2*time.Second, "obs and faults suites: measured run length per drive")
 	workers := fs.Int("workers", 8, "campaign suite: solicitation worker-pool size")
 
 	if len(os.Args) < 2 {
@@ -175,23 +173,6 @@ func main() {
 				fmt.Printf("wrote %s (one CPU: no parallel variant)\n", path)
 			}
 		},
-		"serve": func() {
-			tab, rep, err := experiments.RunServerSuite(experiments.ServerConfig{
-				Seed: *seed, Budget: *budget,
-				Clients: *clients, WritePct: *writePct, Duration: *duration,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "podium-bench: %v\n", err)
-				os.Exit(1)
-			}
-			showRaw(tab)
-			path := reportPath(*out, "BENCH_server.json")
-			if err := writeReport(path, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "podium-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%.2fx read QPS over the single-mutex baseline)\n", path, rep.ReadSpeedup)
-		},
 		"campaign": func() {
 			tab, rep, err := experiments.RunCampaignSuite(experiments.CampaignConfig{
 				Seed: *seed, Budget: *budget, Users: *scale,
@@ -225,30 +206,6 @@ func main() {
 			}
 			fmt.Printf("wrote %s (max instrumentation overhead %.2f%%; %d metric families exposed)\n",
 				path, rep.MaxOverheadFrac*100, rep.MetricFamilies)
-		},
-		"steady": func() {
-			tiers := []int{10000, 100000}
-			tab, rep, err := experiments.RunSteadySuite(experiments.SteadyConfig{
-				Seed: *seed, Budget: *budget, Tiers: tiers,
-				Clients: *clients, Duration: *duration,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "podium-bench: %v\n", err)
-				os.Exit(1)
-			}
-			showRaw(tab)
-			path := reportPath(*out, "BENCH_steady.json")
-			if err := writeReport(path, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "podium-bench: %v\n", err)
-				os.Exit(1)
-			}
-			last := rep.Tiers[len(rep.Tiers)-1]
-			hitRate := 0.0
-			if c := last.Cached.Cache; c != nil {
-				hitRate = c.HitRate
-			}
-			fmt.Printf("wrote %s (%.1fx steady-state select QPS at %d users; hit rate %.0f%%; identical=%t)\n",
-				path, last.SelectSpeedup, last.Users, hitRate*100, last.Identical)
 		},
 		"scale": func() {
 			tiers := []int{10000, 100000}
@@ -326,7 +283,6 @@ func main() {
 				path, (1-rep.Overhead.Ratio)*100, worst.ClientErrors, worst.Rate*100, rep.Overload.ShedRate*100)
 		},
 	}
-	run["server"] = run["serve"]
 
 	if cmd == "all" {
 		for _, name := range []string{"fig3a", "fig3b", "fig3c", "fig3d", "fig4", "fig5", "fig6", "approx", "ablate", "extra", "noise", "holdout", "budget", "transfer"} {
@@ -392,5 +348,5 @@ func writeReport(path string, rep interface{}) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `podium-bench <fig3a|fig3b|fig3c|fig3d|fig4|fig5|fig6|approx|ablate|extra|noise|holdout|budget|transfer|engine|serve|campaign|faults|obs|steady|scale|dist|rules|all> [-scale N] [-seed S] [-budget B] [-raw] [-csv] [-suite NAME] [-out FILE] [-parallelism N] [-clients N] [-writes PCT] [-duration D] [-workers N]`)
+	fmt.Fprintln(os.Stderr, `podium-bench <fig3a|fig3b|fig3c|fig3d|fig4|fig5|fig6|approx|ablate|extra|noise|holdout|budget|transfer|engine|campaign|faults|obs|scale|dist|rules|all> [-scale N] [-seed S] [-budget B] [-raw] [-csv] [-suite NAME] [-out FILE] [-parallelism N] [-clients N] [-writes PCT] [-duration D] [-workers N]`)
 }

@@ -81,7 +81,7 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 0, "mutable server: apply-loop queue bound; full queue sheds mutations with 429 (0 = 4×batch-max)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "mutable server: backoff advertised on shed (429) mutations")
 		campaignDir = flag.String("campaign-dir", "", "journal campaigns as WAL files in this directory (empty = in-memory campaigns)")
-		selCache    = flag.Bool("select-cache", true, "cross-epoch watermark-keyed select cache: serve repeat selections from pre-marshaled responses until a selection-relevant write lands")
+		selCache    = flag.Bool("select-cache", true, "cross-epoch watermark-keyed select cache: serve repeat selections from pre-marshaled responses until a selection-relevant write lands (false = compute every select)")
 
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (negative = none)")
 		maxBody      = flag.Int64("max-body", 8<<20, "request body cap in bytes (negative = none)")

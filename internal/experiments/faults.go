@@ -2,7 +2,7 @@
 // nothing goes wrong, what it delivers when things do, and how admission
 // control behaves at writer overload. Three phases:
 //
-//  1. Hardening overhead — the same in-process workload as the server suite,
+//  1. Hardening overhead — the shared in-process serving drive (server.go),
 //     against the bare snapshot server and against Server.Hardened. The
 //     acceptance headline: the middleware must cost < 5% read QPS.
 //  2. Fault sweep — resilient clients drive the hardened server over real
@@ -13,7 +13,7 @@
 //     succeed from the last published snapshot.
 //
 // Phases 1 and 3 run in-process (handler invocations, no sockets) like the
-// server suite; phase 2 must cross real connections because Reset and
+// shared drive; phase 2 must cross real connections because Reset and
 // Truncate faults abort them — numbers are therefore comparable within a
 // phase, not across phases.
 package experiments
@@ -41,7 +41,7 @@ import (
 type FaultsConfig struct {
 	Seed int64
 	// Users / Props / PropsPerUser shape the population (defaults 1200/1500/8;
-	// smaller than the server suite because the sweep runs several servers).
+	// smaller than the shared drive's because the sweep runs several servers).
 	Users, Props, PropsPerUser int
 	// Clients is the closed-loop client count (default 8).
 	Clients int
@@ -85,8 +85,8 @@ func (c FaultsConfig) withDefaults() FaultsConfig {
 	return c
 }
 
-// serverConfig adapts the faults config to the server suite's generator and
-// driver, so phase 1 measures the exact workload BENCH_server.json measures.
+// serverConfig adapts the faults config to the shared drive's generator and
+// driver (server.go).
 func (c FaultsConfig) serverConfig() ServerConfig {
 	return ServerConfig{
 		Seed: c.Seed, Users: c.Users, Props: c.Props, PropsPerUser: c.PropsPerUser,

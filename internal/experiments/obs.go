@@ -6,12 +6,14 @@
 //
 // Two workloads isolate the two instrumented paths:
 //
-//   - selects with per-request priority feedback, which bypass the memoized
-//     fast path and run the greedy engine (stage timers included) every time;
-//   - the read-heavy dashboard mix of the server suite at 0% writes, which
-//     exercises the per-route counter/histogram wrapper at maximum request
-//     rate (status/groups/distribution are the cheapest handlers, so the
-//     per-request overhead is proportionally largest there).
+//   - selects with per-request priority feedback, which never repeat, so the
+//     select cache misses and the greedy engine (stage timers included) runs
+//     every time;
+//   - the read-heavy dashboard mix of the shared serving drive (server.go)
+//     at 0% writes, which exercises the per-route counter/histogram wrapper
+//     at maximum request rate (status/groups/distribution are the cheapest
+//     handlers, so the per-request overhead is proportionally largest
+//     there).
 //
 // Both modes are measured interleaved, best-of-Trials, so a background
 // hiccup hits one trial of one mode rather than biasing a whole side.

@@ -1,37 +1,27 @@
-// Server-serving benchmark: the snapshot architecture against the
-// single-mutex architecture it replaced. Both servers are driven in-process
-// (handler invocations on httptest recorders, no sockets), so the numbers
-// isolate the serving path itself: request decoding, instance construction,
-// selection, explanation, encoding, and — on the write path — durability and
-// index maintenance.
+// The closed-loop serving drive that the obs and faults suites share: a
+// sparse synthetic population written to a repository log, a deterministic
+// per-client operation mix, and closed-loop clients that invoke a handler
+// in-process (httptest recorders, no sockets), so the numbers isolate the
+// serving path itself: request decoding, selection, explanation, encoding,
+// and — on the write path — durability and index maintenance.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"podium/internal/core"
-	"podium/internal/explain"
-	"podium/internal/groups"
-	"podium/internal/profile"
 	"podium/internal/repolog"
-	"podium/internal/server"
 )
 
-// ServerConfig parameterizes the serving benchmark. The dataset is a sparse
-// opinion matrix — a large property vocabulary with a handful of scored
-// properties per user — which is the regime where per-request instance
-// construction and group sorting dominate the old read path.
+// ServerConfig parameterizes the serving drive. The dataset is a sparse
+// opinion matrix: a large property vocabulary with a handful of scored
+// properties per user.
 type ServerConfig struct {
 	Seed int64
 	// Users / Props / PropsPerUser shape the synthetic population
@@ -39,17 +29,14 @@ type ServerConfig struct {
 	Users, Props, PropsPerUser int
 	// Clients is the closed-loop client count (default 8).
 	Clients int
-	// Duration is the measured run length per server (default 2s).
+	// Duration is the measured run length per drive (default 2s).
 	Duration time.Duration
 	// WritePct is the percentage of operations that mutate (default 10).
 	WritePct int
 	// BatchWindow is the snapshot writer's coalescing window (default 10ms).
-	// Zero keeps the default; batching is the point of the architecture, so
-	// the suite always runs with a window.
+	// Zero keeps the default, so a drive always runs with a window.
 	BatchWindow time.Duration
 	Budget      int
-	// Dir holds the repository logs; a temp dir is created when empty.
-	Dir string
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -80,7 +67,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// ServerRunStats is one server's measured throughput and latency.
+// ServerRunStats is one drive's measured throughput and latency.
 type ServerRunStats struct {
 	Server     string  `json:"server"`
 	ReadOps    int     `json:"read_ops"`
@@ -91,36 +78,12 @@ type ServerRunStats struct {
 	ReadP99Ms  float64 `json:"read_p99_ms"`
 	WriteP50Ms float64 `json:"write_p50_ms"`
 	WriteP99Ms float64 `json:"write_p99_ms"`
-	// Batches/Mutations report the snapshot writer's coalescing
-	// (mutations/batches = mean batch size); zero for the baseline.
-	Batches   uint64 `json:"batches,omitempty"`
-	Mutations uint64 `json:"mutations,omitempty"`
-}
-
-// ServerReport is the machine-readable result, serialized to
-// BENCH_server.json. ReadSpeedup is the acceptance headline: snapshot read
-// QPS over baseline read QPS on the same mixed workload.
-type ServerReport struct {
-	Suite       string         `json:"suite"`
-	Workload    string         `json:"workload"`
-	Users       int            `json:"users"`
-	Properties  int            `json:"properties"`
-	Groups      int            `json:"groups"`
-	Clients     int            `json:"clients"`
-	WritePct    int            `json:"write_pct"`
-	Budget      int            `json:"budget"`
-	Seed        int64          `json:"seed"`
-	NumCPU      int            `json:"num_cpu"`
-	DurationSec float64        `json:"duration_sec"`
-	Baseline    ServerRunStats `json:"baseline"`
-	Snapshot    ServerRunStats `json:"snapshot"`
-	ReadSpeedup float64        `json:"read_speedup"`
 }
 
 // sparseLog writes the benchmark population into a fresh repository log at
 // path: Users users, scores on PropsPerUser properties drawn from a
-// Props-sized vocabulary. Both servers replay the same log, so they start
-// from identical state.
+// Props-sized vocabulary. Servers that replay logs written with one config
+// start from identical state.
 func sparseLog(path string, cfg ServerConfig) error {
 	l, err := repolog.Open(path)
 	if err != nil {
@@ -213,11 +176,11 @@ func driveClients(h http.Handler, cfg ServerConfig) (readLat, writeLat []float64
 				h.ServeHTTP(rec, req)
 				lat := time.Since(t0).Seconds()
 				// A handful of vocabulary properties may end up unscored by
-				// the generator; their distribution probes 404 on both
-				// servers and still count as served reads.
+				// the generator; their distribution probes 404 and still
+				// count as served reads.
 				if rec.Code != http.StatusOK &&
 					!(rec.Code == http.StatusNotFound && strings.HasPrefix(op.path, "/api/distribution")) {
-					panic(fmt.Sprintf("server bench: %s %s -> %d: %s", op.method, op.path, rec.Code, rec.Body.String()))
+					panic(fmt.Sprintf("serving drive: %s %s -> %d: %s", op.method, op.path, rec.Code, rec.Body.String()))
 				}
 				perClient[c] = append(perClient[c], sample{lat, op.write})
 			}
@@ -259,307 +222,4 @@ func runStats(name string, readLat, writeLat []float64, elapsed float64) ServerR
 		WriteP50Ms: percentileMs(writeLat, 0.50),
 		WriteP99Ms: percentileMs(writeLat, 0.99),
 	}
-}
-
-// RunServerSuite benchmarks both serving architectures on the same workload
-// and returns the rendered table plus the JSON report.
-func RunServerSuite(cfg ServerConfig) (*Table, *ServerReport, error) {
-	cfg = cfg.withDefaults()
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "podium-bench-server")
-		if err != nil {
-			return nil, nil, err
-		}
-		defer os.RemoveAll(dir)
-	}
-	gcfg := groups.Config{K: 3}
-
-	// The baseline: the architecture this suite exists to retire.
-	basePath := filepath.Join(dir, "baseline.plog")
-	if err := sparseLog(basePath, cfg); err != nil {
-		return nil, nil, err
-	}
-	base, err := newMutexServer(basePath, gcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	baseReads, baseWrites, baseElapsed := driveClients(base, cfg)
-	baseStats := runStats("baseline-mutex", baseReads, baseWrites, baseElapsed)
-	if err := base.close(); err != nil {
-		return nil, nil, err
-	}
-
-	// The snapshot server, on an identical starting population.
-	snapPath := filepath.Join(dir, "snapshot.plog")
-	if err := sparseLog(snapPath, cfg); err != nil {
-		return nil, nil, err
-	}
-	snap, err := server.NewMutableOpts("bench", snapPath, gcfg, nil,
-		server.MutableOptions{BatchWindow: cfg.BatchWindow})
-	if err != nil {
-		return nil, nil, err
-	}
-	snapReads, snapWrites, snapElapsed := driveClients(snap, cfg)
-	snapStats := runStats("snapshot", snapReads, snapWrites, snapElapsed)
-	snapStats.Batches, snapStats.Mutations = snap.BatchStats()
-	numGroups := snap.Snapshot().Index().NumGroups()
-	props := snap.Repository().NumProperties()
-	if err := snap.Close(); err != nil {
-		return nil, nil, err
-	}
-
-	rep := &ServerReport{
-		Suite:       "server",
-		Workload:    fmt.Sprintf("mixed %d%%-write, reads 2/68/12/18 select/groups/distribution/status", cfg.WritePct),
-		Users:       cfg.Users,
-		Properties:  props,
-		Groups:      numGroups,
-		Clients:     cfg.Clients,
-		WritePct:    cfg.WritePct,
-		Budget:      cfg.Budget,
-		Seed:        cfg.Seed,
-		NumCPU:      runtime.NumCPU(),
-		DurationSec: cfg.Duration.Seconds(),
-		Baseline:    baseStats,
-		Snapshot:    snapStats,
-	}
-	if baseStats.ReadQPS > 0 {
-		rep.ReadSpeedup = snapStats.ReadQPS / baseStats.ReadQPS
-	}
-
-	const (
-		mReadQPS  = "Read QPS"
-		mWriteQPS = "Write QPS"
-		mReadP50  = "Read p50 (ms)"
-		mReadP99  = "Read p99 (ms)"
-		mWriteP99 = "Write p99 (ms)"
-	)
-	t := &Table{
-		Title:   fmt.Sprintf("Serving architectures, %d clients, %d%% writes (|U|=%d, |G|=%d)", cfg.Clients, cfg.WritePct, cfg.Users, numGroups),
-		Metrics: []string{mReadQPS, mWriteQPS, mReadP50, mReadP99, mWriteP99},
-	}
-	for _, s := range []ServerRunStats{baseStats, snapStats} {
-		t.Rows = append(t.Rows, Row{Name: s.Server, Values: map[string]float64{
-			mReadQPS: s.ReadQPS, mWriteQPS: s.WriteQPS,
-			mReadP50: s.ReadP50Ms, mReadP99: s.ReadP99Ms, mWriteP99: s.WriteP99Ms,
-		}})
-	}
-	return t, rep, nil
-}
-
-// mutexServer is a faithful replica of the pre-snapshot serving architecture,
-// preserved here as the benchmark baseline: one global mutex serializes every
-// request; each selection read rebuilds its diversification instance and each
-// group listing re-sorts the groups; each mutation fsyncs individually and
-// mutates the (single, shared) index in place.
-type mutexServer struct {
-	mu   sync.Mutex
-	log  *repolog.Log
-	repo *profile.Repository
-	ix   *groups.Index
-	cfg  groups.Config
-	mux  *http.ServeMux
-}
-
-func newMutexServer(logPath string, cfg groups.Config) (*mutexServer, error) {
-	l, err := repolog.Open(logPath)
-	if err != nil {
-		return nil, err
-	}
-	s := &mutexServer{
-		log:  l,
-		repo: l.Repository(),
-		cfg:  cfg,
-		mux:  http.NewServeMux(),
-	}
-	s.ix = groups.Build(s.repo, cfg)
-	s.mux.HandleFunc("/api/status", s.handleStatus)
-	s.mux.HandleFunc("/api/groups", s.handleGroups)
-	s.mux.HandleFunc("/api/select", s.handleSelect)
-	s.mux.HandleFunc("/api/distribution", s.handleDistribution)
-	s.mux.HandleFunc("/api/users", s.handleAddUser)
-	s.mux.HandleFunc("/api/scores", s.handleSetScore)
-	return s, nil
-}
-
-func (s *mutexServer) close() error { return s.log.Close() }
-
-func (s *mutexServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mux.ServeHTTP(w, r)
-}
-
-func (s *mutexServer) writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
-}
-
-func (s *mutexServer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"name":       "baseline",
-		"users":      s.repo.NumUsers(),
-		"properties": s.repo.NumProperties(),
-		"groups":     s.ix.NumGroups(),
-	})
-}
-
-func (s *mutexServer) handleGroups(w http.ResponseWriter, r *http.Request) {
-	limit := 50
-	fmt.Sscanf(r.URL.Query().Get("limit"), "%d", &limit)
-	type row struct {
-		ID     int     `json:"id"`
-		Label  string  `json:"label"`
-		Size   int     `json:"size"`
-		Weight float64 `json:"weight"`
-	}
-	top := s.ix.TopKBySize(limit)
-	out := make([]row, 0, len(top))
-	for _, gid := range top {
-		g := s.ix.Group(gid)
-		out = append(out, row{int(gid), g.Label(s.repo.Catalog()), g.Size(), float64(g.Size())})
-	}
-	s.writeJSON(w, http.StatusOK, out)
-}
-
-func (s *mutexServer) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Budget int `json:"budget"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	inst := groups.NewInstance(s.ix, groups.WeightLBS, groups.CoverSingle, req.Budget)
-	res := core.Greedy(inst, req.Budget)
-	rep := explain.NewReport(inst, res, 200)
-	type userRow struct {
-		ID       int     `json:"id"`
-		Name     string  `json:"name"`
-		Marginal float64 `json:"marginal"`
-	}
-	type groupRow struct {
-		ID      int     `json:"id"`
-		Label   string  `json:"label"`
-		Weight  float64 `json:"weight"`
-		Covered bool    `json:"covered"`
-	}
-	resp := struct {
-		Users       []userRow  `json:"users"`
-		Score       float64    `json:"score"`
-		TopKCovered int        `json:"top_k_covered"`
-		Groups      []groupRow `json:"groups"`
-	}{Score: inst.Score(res.Users), TopKCovered: rep.TopKCovered}
-	for _, ue := range rep.Users {
-		resp.Users = append(resp.Users, userRow{int(ue.User), ue.Name, ue.Marginal})
-	}
-	for _, sg := range rep.Groups {
-		resp.Groups = append(resp.Groups, groupRow{int(sg.Group.ID), sg.Group.Label, sg.Group.Weight, sg.Covered})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *mutexServer) handleDistribution(w http.ResponseWriter, r *http.Request) {
-	label := r.URL.Query().Get("prop")
-	pid, ok := s.repo.Catalog().Lookup(label)
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown property %q", label), http.StatusNotFound)
-		return
-	}
-	inst := groups.NewInstance(s.ix, groups.WeightLBS, groups.CoverSingle, 8)
-	all, subset := explain.Distribution(inst, nil, pid)
-	buckets := make([]string, 0, len(all))
-	for _, b := range s.ix.Buckets(pid) {
-		buckets = append(buckets, b.String())
-	}
-	s.writeJSON(w, http.StatusOK, map[string]interface{}{
-		"property": label,
-		"buckets":  buckets,
-		"all":      all,
-		"subset":   subset,
-	})
-}
-
-func (s *mutexServer) handleAddUser(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name       string             `json:"name"`
-		Properties map[string]float64 `json:"properties"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	u, err := s.log.AddUser(req.Name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	labels := make([]string, 0, len(req.Properties))
-	for label := range req.Properties {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		if err := s.log.SetScore(u, label, req.Properties[label]); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	if err := s.log.Sync(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	unbucketed, err := s.ix.IndexUser(u)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	for _, pid := range unbucketed {
-		if err := s.ix.BucketProperty(pid, s.cfg); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	s.writeJSON(w, http.StatusOK, map[string]int{"id": int(u)})
-}
-
-func (s *mutexServer) handleSetScore(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		User  int     `json:"user"`
-		Label string  `json:"label"`
-		Score float64 `json:"score"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	u := profile.UserID(req.User)
-	pid, known := s.repo.Catalog().Lookup(req.Label)
-	if err := s.log.SetScore(u, req.Label, req.Score); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.log.Sync(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if !known {
-		newPid, _ := s.repo.Catalog().Lookup(req.Label)
-		if err := s.ix.BucketProperty(newPid, s.cfg); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	} else if err := s.ix.UpdateScore(u, pid); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "updated"})
 }

@@ -101,11 +101,7 @@ func (sn *Snapshot) RenderSelection(ws groups.WeightScheme, cs groups.CoverageSc
 	inst := sn.Instance(ws, cs, budget)
 	rl = rl.OrDefault()
 	if len(extra) == 0 {
-		resp := buildSelectResponse(inst, res, nil, topK)
-		if !rl.IsDefault() {
-			resp.Rule = rl.Name()
-		}
-		return json.Marshal(resp)
+		return json.Marshal(buildSelectResponse(inst, res, nil, rl, topK))
 	}
 	var body clusterSelectJSON
 	for k, v := range extra {

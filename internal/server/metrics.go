@@ -107,7 +107,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeEngine folds one selection's stage timings into the core family.
-// A run that hit the memoized fast path (tim.Runs == 0) records nothing.
+// A request that ran no engine loop (tim.Runs == 0: a cache hit, or the EBS
+// exact path) records nothing.
 func (s *Server) observeEngine(tim *core.StageTimings) {
 	if tim == nil || tim.Runs == 0 || s.coreMet == nil {
 		return

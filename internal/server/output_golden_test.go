@@ -177,9 +177,8 @@ func TestOutputGolden(t *testing.T) {
 	s := server.New("golden", repo, cfg, nil)
 	renderHashes(t, s.Snapshot(), got)
 	httpHashes(t, s, got)
-	// The same bodies with the watermark cache off, served by the snapshot
-	// memo and the direct feedback path; a second round on each server
-	// answers from its caches.
+	// The same bodies with the watermark cache off, computed afresh on every
+	// request; a second round on the cached server answers from its cache.
 	uncached := server.New("golden", repo, cfg, nil)
 	uncached.SetSelectCacheEnabled(false)
 	for i, srv := range []*server.Server{s, uncached, uncached} {

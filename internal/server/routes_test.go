@@ -184,7 +184,7 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 // traffic has exercised the server and the engine.
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t)
-	// Generate traffic: a memoized select, an engine-running select, a 404
+	// Generate traffic: a feedback-free select, a feedback select, a 404
 	// and a 405.
 	doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
 	doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2,"feedback":{"priority":[0]}}`, nil)
@@ -254,7 +254,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The engine ran at least once (the feedback select is never memoized).
+	// The engine ran at least once (both selects miss the cache).
 	if !strings.Contains(text, "podium_engine_selections_total 1") &&
 		!strings.Contains(text, "podium_engine_selections_total 2") {
 		t.Errorf("engine selections not counted:\n%s", grepLines(text, "podium_engine_selections_total"))
@@ -286,7 +286,7 @@ func TestTraceHeaderAttachesSpans(t *testing.T) {
 		} `json:"trace"`
 	}
 
-	// Untraced: no trace key, even on the memoized path.
+	// Untraced: no trace key, even on the cached path.
 	rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
 	if strings.Contains(rec.Body.String(), `"trace"`) {
 		t.Fatalf("untraced select body has a trace key: %s", rec.Body.String())
@@ -315,7 +315,7 @@ func TestTraceHeaderAttachesSpans(t *testing.T) {
 		}
 	}
 
-	// Query form (?trace=1), memoized select path: the span tree is attached
+	// Query form (?trace=1), feedback-free select: the span tree is attached
 	// without disturbing the cached, untraced response.
 	rec = doJSON(t, s, http.MethodPost, "/api/v1/select?trace=1", `{"budget":2}`, nil)
 	var tr2 traced
@@ -324,7 +324,7 @@ func TestTraceHeaderAttachesSpans(t *testing.T) {
 	}
 	rec = doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
 	if strings.Contains(rec.Body.String(), `"trace"`) {
-		t.Fatalf("trace leaked into the memoized response: %s", rec.Body.String())
+		t.Fatalf("trace leaked into the cached response: %s", rec.Body.String())
 	}
 
 	// Query endpoint, header form.

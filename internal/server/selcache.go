@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"podium/internal/core"
 	"podium/internal/groups"
@@ -14,14 +13,14 @@ import (
 	"podium/internal/profile"
 )
 
-// The watermark-keyed select cache. The per-epoch memoization on Snapshot
-// (snapshot.go) makes repeated selects free *within* an epoch, but a live
-// write stream publishes a new epoch per batch and every memo starts cold —
-// the steady-state cost the ROADMAP calls out. This cache spans epochs: it
+// The watermark-keyed select cache, the server's only select-response cache.
+// A live write stream publishes a new epoch per batch, so a cache held by
+// one epoch would start cold at every batch. This cache spans epochs: it
 // keys complete pre-marshaled responses on (schemes, budget, topK, response
 // shape, feedback restriction) and serves them for as long as no
 // selection-relevant write has landed, which the groups-layer change records
-// decide (groups/delta.go).
+// decide (groups/delta.go). What it does not answer — traced selects, and
+// every select while it is off — computes through Snapshot.buildSelect.
 //
 // Invalidation is computed once per batch, not per request: the single-writer
 // apply loop calls applyDelta with the batch's change record before
@@ -52,7 +51,8 @@ import (
 type selectCache struct {
 	met *obs.SelectCacheMetrics
 
-	// disabled flips the whole cache off (bench baseline, -select-cache=0).
+	// disabled flips the whole cache off (-select-cache=false): every select
+	// then computes.
 	disabled atomic.Bool
 	// seq is the global watermark — the ChangeSeq of the last non-empty
 	// batch. Written by the single writer, read lock-free per request.
@@ -76,11 +76,11 @@ type selectCache struct {
 	entryLRU list.List
 	stateLRU list.List
 
-	// Aggregate stats for the steady bench (atomics: read concurrently).
+	// Aggregate counters behind SelectCacheStats (atomics: read
+	// concurrently).
 	hits, misses, bypass              atomic.Uint64
 	entryEvicts, stateEvicts          atomic.Uint64
 	repairs, recomputes, repairedRows atomic.Uint64
-	repairNs, recomputeNs, selectNs   atomic.Uint64
 }
 
 // maxSelCacheEntries bounds the response map. The map is keyed partly on
@@ -308,9 +308,6 @@ func (c *selectCache) respond(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 	if err != nil {
 		return nil, err
 	}
-	if !r.IsDefault() {
-		resp.Rule = r.Name()
-	}
 	data, err := marshalSelect(resp, k.pretty)
 	if err != nil {
 		return nil, err
@@ -329,17 +326,13 @@ func (c *selectCache) compute(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 		// A feedback select reads only its instance, never the selector
 		// state, so it neither syncs nor locks it: concurrent feedback
 		// selects at one budget run side by side.
-		start := time.Now()
-		resp, err := c.buildResponse(sn.Instance(k.ws, k.cs, k.budget), k, r, fb, opt)
-		c.selectNs.Add(uint64(time.Since(start).Nanoseconds()))
-		return resp, err
+		return sn.buildSelect(k.ws, k.cs, k.budget, k.topK, r, fb, opt, nil)
 	}
 	target := sn.ChangeSeq()
 	st := c.state(selStateKey{k.ws, k.cs, k.budget, k.rule}, r)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.inst == nil || st.seq < target {
-		start := time.Now()
 		inst := sn.Instance(k.ws, k.cs, k.budget)
 		var repaired bool
 		if st.inst == nil {
@@ -348,14 +341,11 @@ func (c *selectCache) compute(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 			users, reshaped := c.changedSince(st.seq, target)
 			repaired = st.st.Sync(inst, users, reshaped)
 		}
-		ns := uint64(time.Since(start).Nanoseconds())
 		if repaired {
 			c.repairs.Add(1)
-			c.repairNs.Add(ns)
 			c.met.Repaired.Inc()
 		} else {
 			c.recomputes.Add(1)
-			c.recomputeNs.Add(ns)
 			c.met.Recomputed.Inc()
 		}
 		c.repairedRows.Add(st.st.RepairedUsers - st.lastRows)
@@ -366,32 +356,9 @@ func (c *selectCache) compute(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 		// A reader raced an in-flight batch and holds the previous epoch
 		// while the state already advanced; states never rewind, so compute
 		// against the reader's snapshot without touching the state.
-		inst := sn.Instance(k.ws, k.cs, k.budget)
-		return c.buildResponse(inst, k, r, nil, opt)
+		return sn.buildSelect(k.ws, k.cs, k.budget, k.topK, r, nil, opt, nil)
 	}
-	start := time.Now()
-	resp := buildSelectResponse(st.inst, st.st.Select(st.inst, k.budget, opt), nil, k.topK)
-	c.selectNs.Add(uint64(time.Since(start).Nanoseconds()))
-	return resp, nil
-}
-
-// buildResponse is the stateless fallback: a fresh selection on the
-// snapshot's memoized instance, under the request's rule.
-func (c *selectCache) buildResponse(inst *groups.Instance, k selCacheKey, r *core.Rule, fb *core.Feedback, opt core.Options) (selectResponse, error) {
-	if fb != nil {
-		custom, err := core.GreedyCustomOpts(inst, *fb, k.budget, opt)
-		if err != nil {
-			return selectResponse{}, err
-		}
-		return buildSelectResponse(inst, custom.Result, custom, k.topK), nil
-	}
-	res, err := core.GreedyRule(inst, k.budget, r, opt)
-	if err != nil {
-		// Unreachable: the handler gates rule/instance compatibility before
-		// the cache is consulted.
-		return selectResponse{}, err
-	}
-	return buildSelectResponse(inst, res, nil, k.topK), nil
+	return buildSelectResponse(st.inst, st.st.Select(st.inst, k.budget, opt), nil, r, k.topK), nil
 }
 
 // marshalSelect pre-marshals a response in the shape its cache key names:
@@ -417,15 +384,13 @@ func feedbackCacheKey(f FeedbackJSON) string {
 	return fmt.Sprintf("%v|%v|%v|%v|%t", f.MustHave, f.MustNot, f.Priority, f.Standard, f.StandardExplicit)
 }
 
-// SelectCacheStats is a point-in-time read of the cache counters, consumed by
-// the steady-state bench suite.
+// SelectCacheStats is a point-in-time read of the cache counters, for tests
+// and diagnostics; /api/v1/metrics exports the same outcomes per rule.
 type SelectCacheStats struct {
 	Hits, Misses, Bypass        uint64
 	EntryEvictions, StateEvicts uint64
 	Repairs, Recomputes         uint64
 	RepairedRows                uint64
-	RepairNs, RecomputeNs       uint64
-	SelectNs                    uint64
 	Entries                     int
 }
 
@@ -444,14 +409,11 @@ func (s *Server) SelectCacheStats() SelectCacheStats {
 		Repairs:        c.repairs.Load(),
 		Recomputes:     c.recomputes.Load(),
 		RepairedRows:   c.repairedRows.Load(),
-		RepairNs:       c.repairNs.Load(),
-		RecomputeNs:    c.recomputeNs.Load(),
-		SelectNs:       c.selectNs.Load(),
 		Entries:        entries,
 	}
 }
 
 // SetSelectCacheEnabled toggles the watermark-keyed select cache (default
-// on). Off, selects fall back to the per-epoch snapshot memoization — the
-// recompute-every-epoch baseline the steady bench measures against.
+// on). Off, every select computes through Snapshot.buildSelect and nothing
+// is kept: the uncached reference that cached bytes are checked against.
 func (s *Server) SetSelectCacheEnabled(v bool) { s.selCache.disabled.Store(!v) }

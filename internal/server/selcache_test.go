@@ -59,8 +59,8 @@ func TestSelectCachePrettyVariant(t *testing.T) {
 // TestSelectCacheWatermark drives the full invalidation model through a live
 // server: repeats hit; a selection-irrelevant write (same-bucket score
 // rewrite) publishes a new epoch that still hits; a bucket-moving write
-// misses; and the post-churn cached response is byte-identical to what the
-// recompute-every-epoch baseline (cache disabled) produces.
+// misses; and the post-churn cached response is byte-identical to what a
+// fresh computation (cache disabled) produces.
 func TestSelectCacheWatermark(t *testing.T) {
 	ms, _ := newMutable(t)
 	for _, body := range []string{
@@ -130,7 +130,7 @@ func TestSelectCacheWatermark(t *testing.T) {
 	}
 
 	// The repaired response must be byte-identical to the baseline: disable
-	// the cache (recompute-every-epoch path) and compare.
+	// the cache (every select computes) and compare.
 	ms.SetSelectCacheEnabled(false)
 	baseline := sel()
 	ms.SetSelectCacheEnabled(true)
@@ -183,8 +183,8 @@ func TestSelectCacheFeedback(t *testing.T) {
 	}
 }
 
-// TestSelectCacheDisabled: with the cache off, selects fall back to the
-// per-epoch snapshot memoization, stay correct, and touch no cache counters.
+// TestSelectCacheDisabled: with the cache off, selects compute, stay correct,
+// and touch no cache counters.
 func TestSelectCacheDisabled(t *testing.T) {
 	s := newTestServer(t)
 	s.SetSelectCacheEnabled(false)
@@ -200,7 +200,35 @@ func TestSelectCacheDisabled(t *testing.T) {
 	}
 	s.SetSelectCacheEnabled(true)
 	if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), a.Body.Bytes()) {
-		t.Fatal("re-enabled cache diverged from the snapshot-memoized response")
+		t.Fatal("re-enabled cache diverged from the computed response")
+	}
+}
+
+// TestSelectCacheOffComputesEverySelect: with the cache off nothing is kept
+// between selects. Feedback-free selects with distinct top_k, then a repeat
+// of the first, each run the engine once, leave no cache entry, and return
+// the bytes a cache-on server returns.
+func TestSelectCacheOffComputesEverySelect(t *testing.T) {
+	off, on := newTestServer(t), newTestServer(t)
+	off.SetSelectCacheEnabled(false)
+	var bodies []string
+	for k := 1; k <= 5; k++ {
+		bodies = append(bodies, fmt.Sprintf(`{"budget":2,"top_k":%d}`, k))
+	}
+	bodies = append(bodies, bodies[0])
+	for i, body := range bodies {
+		got := doJSON(t, off, http.MethodPost, "/api/v1/select", body, nil)
+		want := doJSON(t, on, http.MethodPost, "/api/v1/select", body, nil)
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("select %d %s: cache-off %d differs from cache-on %d:\n%s\n%s", i, body, got.Code, want.Code, got.Body.String(), want.Body.String())
+		}
+		metrics := doJSON(t, off, http.MethodGet, "/api/v1/metrics", "", nil).Body.String()
+		if line := fmt.Sprintf("podium_engine_selections_total %d\n", i+1); !strings.Contains(metrics, line) {
+			t.Errorf("after select %d %s: want %q, got\n%s", i, body, line, grepLines(metrics, "podium_engine_selections_total"))
+		}
+		if n := off.SelectCacheStats().Entries; n != 0 {
+			t.Errorf("after select %d %s: cache-off server holds %d cache entries, want 0", i, body, n)
+		}
 	}
 }
 

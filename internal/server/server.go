@@ -101,7 +101,8 @@ type Server struct {
 	obsOff    atomic.Bool
 	unmatched *routeMetrics
 
-	// selCache is the cross-epoch watermark-keyed select cache (selcache.go).
+	// selCache is the cross-epoch watermark-keyed select cache (selcache.go),
+	// the only select-response cache: with it off, every select computes.
 	// On the plain Server nothing ever advances the watermark, so after the
 	// first computation every select shape is a permanent hit; MutableServer's
 	// apply loop feeds it the per-batch change records.
@@ -166,8 +167,8 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}
 	writeJSONRaw(w, status, append(data, '\n'))
 }
 
-// writeJSONRaw writes JSON bytes pre-marshaled by a snapshot's response
-// cache, skipping re-encoding on the hot path. It declares the body's
+// writeJSONRaw writes JSON bytes pre-marshaled by the select cache (or by
+// writeJSON), skipping re-encoding on the hot path. It declares the body's
 // Content-Length, so a large body goes out unchunked and a client can read
 // it into one buffer of that size. Once the header is out a failed or short
 // body write cannot be turned into an error status; instead of leaving a
@@ -483,7 +484,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		if sp != nil {
 			// Traced requests are diagnostic: they want the real per-stage
 			// span tree, which a pre-marshaled cache hit cannot produce.
-			// They fall through to the uncached paths below.
+			// They compute below.
 			s.selCache.noteBypass(rule.Name())
 		} else {
 			// Cross-epoch watermark-keyed path (selcache.go): the response is
@@ -501,11 +502,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			data, err := s.selCache.respond(sn, k, rule, fb, opt)
 			s.observeEngine(tim)
 			if err != nil {
-				if fb != nil {
-					writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
-				} else {
-					writeError(w, r, http.StatusInternalServerError, codeInternal, "encoding response: %v", err)
-				}
+				writeSelectError(w, r, fb != nil, err)
 				return
 			}
 			writeJSONRaw(w, http.StatusOK, data)
@@ -513,63 +510,39 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if fb == nil {
-		// Feedback-free selections are memoized per epoch: the snapshot is
-		// immutable and greedy is deterministic, so the response is a pure
-		// function of (epoch, schemes, budget, topK). Traced selects compute
-		// afresh and neither read nor fill the memo.
-		gsp := sp.StartChild("select")
-		var resp selectResponse
-		var data []byte
-		if sp != nil {
-			resp, err = sn.buildSelect(ws, cs, req.Budget, req.TopK, rule, opt)
-		} else {
-			resp, data, err = sn.SelectResponse(ws, cs, req.Budget, req.TopK, rule, opt)
-		}
-		gsp.End()
-		attachStages(gsp, tim) // empty (memo hit) unless this call computed
-		s.observeEngine(tim)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, codeInternal, "encoding response: %v", err)
-			return
-		}
-		if sp != nil {
-			resp.Trace = sp.JSON()
-			writeJSON(w, r, http.StatusOK, resp)
-			return
-		}
-		if r.URL.Query().Get("pretty") == "1" {
-			writeJSON(w, r, http.StatusOK, resp)
-			return
-		}
-		writeJSONRaw(w, http.StatusOK, data)
-		return
-	}
-
-	inst := sn.Instance(ws, cs, req.Budget)
-	gsp := sp.StartChild("greedy")
-	custom, err := core.GreedyCustomOpts(inst, *fb, req.Budget, opt)
-	gsp.End()
-	attachStages(gsp, tim)
+	// Uncached: traced selects, and every select while the cache is off.
+	resp, err := sn.buildSelect(ws, cs, req.Budget, req.TopK, rule, fb, opt, sp)
 	s.observeEngine(tim)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		writeSelectError(w, r, fb != nil, err)
 		return
 	}
-	rsp := sp.StartChild("report")
-	resp := buildSelectResponse(inst, custom.Result, custom, req.TopK)
-	rsp.End()
 	resp.Trace = sp.JSON()
 	writeJSON(w, r, http.StatusOK, resp)
 }
 
+// writeSelectError answers a select that failed to compute: a feedback
+// select fails only on invalid feedback (400); a feedback-free one only if
+// its response cannot be built or encoded (500).
+func writeSelectError(w http.ResponseWriter, r *http.Request, feedback bool, err error) {
+	if feedback {
+		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
+	}
+	writeError(w, r, http.StatusInternalServerError, codeInternal, "encoding response: %v", err)
+}
+
 // buildSelectResponse assembles the visualization payload shared by the
-// select and query endpoints.
-func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.CustomResult, topK int) selectResponse {
+// select and query endpoints. rl (non-nil) is the rule the selection ran
+// under; the body names it unless it is the default.
+func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.CustomResult, rl *core.Rule, topK int) selectResponse {
 	rep := explain.NewReport(inst, res, topK)
 	resp := selectResponse{
 		Score: inst.Score(res.Users),
 		TopK:  rep.TopK, TopKCovered: rep.TopKCovered,
+	}
+	if !rl.IsDefault() {
+		resp.Rule = rl.Name()
 	}
 	if custom != nil {
 		resp.PriorityScore = custom.PriorityScore
@@ -665,25 +638,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
-	inst := sn.Instance(ws, cs, q.Budget)
 	opt := core.Options{}
 	var tim *core.StageTimings
 	if s.obsEnabled() || sp != nil {
 		tim = &core.StageTimings{}
 		opt.Timings = tim
 	}
-	gsp := sp.StartChild("greedy")
-	custom, err := core.GreedyCustomOpts(inst, fb, q.Budget, opt)
-	gsp.End()
-	attachStages(gsp, tim)
+	resp, err := sn.buildSelect(ws, cs, q.Budget, req.TopK, core.DefaultRule(), &fb, opt, sp)
 	s.observeEngine(tim)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
-	rsp := sp.StartChild("report")
-	resp := buildSelectResponse(inst, custom.Result, custom, req.TopK)
-	rsp.End()
 	resp.Trace = sp.JSON()
 	writeJSON(w, r, http.StatusOK, resp)
 }

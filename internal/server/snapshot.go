@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"sync"
 
 	"podium/internal/core"
 	"podium/internal/groups"
+	"podium/internal/obs"
 	"podium/internal/profile"
 )
 
@@ -42,30 +42,6 @@ type Snapshot struct {
 	// request.
 	topOnce   sync.Once
 	topBySize []groups.GroupID
-
-	// sels memoizes complete feedback-free selection responses. Greedy is
-	// deterministic on an immutable snapshot, so the response for a given
-	// (weights, coverage, budget, topK) is a pure function of the epoch:
-	// only the first such request per epoch runs the selection and builds
-	// (and marshals) the explanation report.
-	sels sync.Map // selKey → *selEntry
-}
-
-// selKey identifies one memoized selection response. Parallelism is
-// deliberately absent: it changes selection latency, never results. rule is
-// the normalized rule name — distinct rules memoize distinct responses.
-type selKey struct {
-	ws           groups.WeightScheme
-	cs           groups.CoverageScheme
-	budget, topK int
-	rule         string
-}
-
-type selEntry struct {
-	once sync.Once
-	resp selectResponse
-	data []byte // compact JSON of resp, newline-terminated
-	err  error
 }
 
 // instKey identifies one memoized diversification instance.
@@ -109,46 +85,40 @@ func (sn *Snapshot) Instance(ws groups.WeightScheme, cs groups.CoverageScheme, b
 	return v.(*groups.Instance)
 }
 
-// SelectResponse returns the memoized feedback-free selection response for
-// the scheme pair, budget and report size, running the greedy core and the
-// explanation builder only on the first request per combination. The opt
-// passed by the winning caller steers that one computation's parallelism;
-// losers share its (identical) result. data is the compact JSON encoding of
-// resp, ready to write; err is the marshalling error, if any.
-// rl selects the objective; the default rule's memoized responses are
-// byte-identical to pre-rules servers (the rule field is omitted for the
-// default).
-func (sn *Snapshot) SelectResponse(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, opt core.Options) (resp selectResponse, data []byte, err error) {
-	rl = rl.OrDefault()
-	k := selKey{ws, cs, budget, topK, rl.Name()}
-	v, _ := sn.sels.LoadOrStore(k, &selEntry{})
-	e := v.(*selEntry)
-	e.once.Do(func() {
-		if e.resp, e.err = sn.buildSelect(ws, cs, budget, topK, rl, opt); e.err != nil {
-			return
-		}
-		e.data, e.err = json.Marshal(e.resp)
-		if e.err == nil {
-			e.data = append(e.data, '\n')
-		}
-	})
-	return e.resp, e.data, e.err
-}
-
-// buildSelect runs one feedback-free selection under rl (non-nil) and builds
-// its response, memoizing nothing. SelectResponse memoizes its result;
-// traced selects call it directly, so their span tree shows the engine's
-// stages and they leave the memo alone.
-func (sn *Snapshot) buildSelect(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, opt core.Options) (selectResponse, error) {
+// buildSelect computes one select response from a request and memoizes
+// nothing: the greedy core under rl (non-nil) on the epoch's instance —
+// customized by fb when fb is non-nil — then the explanation report. Every
+// select the cache does not answer from its entries or its selector states
+// runs here: traced selects, every select while the cache is off, queries,
+// and the cache's feedback misses and raced readers. sp (nil when untraced)
+// gains the stage spans: one "select" child carrying the engine's stages for
+// a feedback-free select, a "greedy" child carrying them and a "report"
+// child for a feedback select. Errors come from feedback validation; the
+// feedback-free path cannot fail once the handler has gated rule/instance
+// compatibility.
+func (sn *Snapshot) buildSelect(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, fb *core.Feedback, opt core.Options, sp *obs.Span) (selectResponse, error) {
 	inst := sn.Instance(ws, cs, budget)
-	res, err := core.GreedyRule(inst, budget, rl, opt)
+	if fb == nil {
+		gsp := sp.StartChild("select")
+		var resp selectResponse
+		res, err := core.GreedyRule(inst, budget, rl, opt)
+		if err == nil {
+			resp = buildSelectResponse(inst, res, nil, rl, topK)
+		}
+		gsp.End()
+		attachStages(gsp, opt.Timings)
+		return resp, err
+	}
+	gsp := sp.StartChild("greedy")
+	custom, err := core.GreedyCustomOpts(inst, *fb, budget, opt)
+	gsp.End()
+	attachStages(gsp, opt.Timings)
 	if err != nil {
 		return selectResponse{}, err
 	}
-	resp := buildSelectResponse(inst, res, nil, topK)
-	if !rl.IsDefault() {
-		resp.Rule = rl.Name()
-	}
+	rsp := sp.StartChild("report")
+	resp := buildSelectResponse(inst, custom.Result, custom, rl, topK)
+	rsp.End()
 	return resp, nil
 }
 
