@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,11 +12,12 @@ import (
 
 // This file is the one greedy loop behind every float-weight selection:
 // Algorithm 1 driven by a rule's credit schedule (rules.go). Every entry
-// point — plain, restricted, merge, top-up from a partial panel, custom,
-// noisy, and the SelectorState's seeded cache-miss path — builds a greedySpec
-// and calls greedy; only coverage on EBS instances leaves it, for the exact
-// rank-vector path (ebs.go). It runs Algorithm 1 with these engine-level
-// changes, none of which alters output:
+// point — plain, restricted, top-up from a partial panel, custom, noisy, the
+// SelectorState's seeded cache-miss path, and the GreeDi merge on its
+// candidates' local view — builds a greedySpec and calls greedy; only
+// coverage on EBS instances leaves it, for the exact rank-vector path
+// (ebs.go). It runs Algorithm 1 with these engine-level changes, none of
+// which alters output:
 //
 //  1. Adjacency is read from the Index's frozen CSR view — contiguous
 //     user→groups and group→members rows — so every hot loop is a linear
@@ -25,18 +27,25 @@ import (
 //     mask over all n users. The per-pick argmax touches only the remaining
 //     |𝒰′| candidates, which matters when customization refines the
 //     population to a small 𝒰′ (custom.go) and late in large selections.
+//     A merge (merge.go) also cuts the adjacency: it runs on a local CSR
+//     view (localCSR) holding only its candidates' rows, renumbered
+//     0..k−1 in ascending global order, with each group's member row cut to
+//     candidates, so retraction walks candidate links instead of every
+//     member of a moved group. Credits stay bound to the full instance, and
+//     the picks map back to global IDs after the loop.
 //
 //  3. The start row marg_{u,·} is an O(n) copy where one exists: of
 //     Instance.BaseMarginals (memoized per instance, so per epoch on the
 //     server) for the coverage rule, of Instance.RuleBase (memoized per
 //     instance and rule) for the other rules, or of a seed: a
 //     SelectorState's delta-repaired base, or a customized select's tiered
-//     row derived from its base instance's memo (custom.go). Only runs from
+//     row derived from its base instance's memo (custom.go). Runs from
 //     start positions (a partial panel's hits) sum it afresh
-//     (Rule.baseFrom). Every summed start adds each user's CSR row in
-//     ascending group order, so all of them produce the same floats; the
-//     derived tiered row matches them because its exactness gate admits
-//     only integer sums below 2^52.
+//     (Rule.baseFrom), and a local view sums each candidate's row of
+//     w_G(0). Every summed start adds each user's CSR row in ascending group
+//     order, so all of them produce the same floats; the derived tiered row
+//     matches them because its exactness gate admits only integer sums
+//     below 2^52.
 //
 //  4. Per group the loop tracks only the selected-member count. When a pick
 //     moves a group down its schedule, the credit drop is retracted from
@@ -53,7 +62,8 @@ import (
 //     total order the sequential scan implies. Sharded retraction performs
 //     the same subtractions on disjoint members, so floats are unchanged.
 //
-// Result.Evaluations counts the member links retraction walks.
+// Result.Evaluations counts the member links retraction walks: on a local
+// view, candidate links only.
 
 // engineParallelCutoff is the element count below which sharding a loop is
 // not worth the goroutine fan-out. A package variable so the equivalence
@@ -64,8 +74,12 @@ var engineParallelCutoff = 256
 type greedySpec struct {
 	budget  int
 	allowed []bool // nil: every user is a candidate
-	rule    *Rule  // nil: coverage
-	opt     Options
+	// cands, when non-nil, is the whole candidate set, distinct and
+	// ascending: the loop then runs on the candidates' local view
+	// (localCSR) instead of the population, and allowed is unused.
+	cands []int32
+	rule  *Rule // nil: coverage
+	opt   Options
 	// The start point; both nil starts from the empty selection. t0[g]
 	// pre-advances group g's schedule by t0[g] selected members (a partial
 	// panel's hits). seed is the rule's empty-selection base row (a
@@ -90,8 +104,9 @@ func greedy(inst *groups.Instance, sp greedySpec) *Result {
 	if sp.budget <= 0 || n == 0 {
 		return res
 	}
-	csr := ix.CSR()
 	workers := sp.opt.workerCount()
+	// Credits bind to the full instance even on a local view, so weights
+	// and dominance constants are the population's, not the candidates'.
 	credit := r.credits(inst)
 
 	// Optional stage clock. All timing sites guard on tim != nil, so the
@@ -104,11 +119,22 @@ func greedy(inst *groups.Instance, sp greedySpec) *Result {
 	}
 
 	// Compacted candidate list 𝒰′, ascending so scans inherit the
-	// lowest-index tie-break.
-	cand := make([]int32, 0, n)
-	for u := 0; u < n; u++ {
-		if sp.allowed == nil || sp.allowed[u] {
-			cand = append(cand, int32(u))
+	// lowest-index tie-break. On a local view the loop's user IDs are
+	// positions in sp.cands, which ascend in global order too.
+	csr := ix.CSR()
+	var cand []int32
+	if sp.cands != nil {
+		csr = localCSR(csr, ix.NumGroups(), sp.cands)
+		cand = make([]int32, len(sp.cands))
+		for i := range cand {
+			cand[i] = int32(i)
+		}
+	} else {
+		cand = make([]int32, 0, n)
+		for u := 0; u < n; u++ {
+			if sp.allowed == nil || sp.allowed[u] {
+				cand = append(cand, int32(u))
+			}
 		}
 	}
 	if len(cand) == 0 {
@@ -118,7 +144,7 @@ func greedy(inst *groups.Instance, sp greedySpec) *Result {
 	// marg is assigned once: the sharded retraction closure captures it, and
 	// a reassigned captured variable moves to the heap, costing the hot
 	// loops an indirection.
-	marg := sp.startRow(inst, r)
+	marg := sp.startRow(inst, r, csr, credit)
 
 	// Selected members per group: each group's position on its schedule.
 	cnt := make([]int, ix.NumGroups())
@@ -196,17 +222,34 @@ func greedy(inst *groups.Instance, sp greedySpec) *Result {
 			tim.RetractNs += time.Since(t0).Nanoseconds()
 		}
 	}
+	if sp.cands != nil {
+		// Map the view's picks back to the population.
+		for i, u := range res.Users {
+			res.Users[i] = profile.UserID(sp.cands[u])
+		}
+	}
 	return res
 }
 
 // startRow returns a private copy of the marginals before the first pick:
-// the seed, the instance's memoized base row for the rule, or a fresh rule
-// sum from start positions. The first two are shared (by every later select
-// on a state, by concurrent requests on an epoch), so they are copied, never
-// written.
-func (sp *greedySpec) startRow(inst *groups.Instance, r *Rule) []float64 {
+// the sums of a local view's rows, the seed, the instance's memoized base
+// row for the rule, or a fresh rule sum from start positions. The seed and
+// the memo are shared (by every later select on a state, by concurrent
+// requests on an epoch), so they are copied, never written.
+func (sp *greedySpec) startRow(inst *groups.Instance, r *Rule, csr *groups.CSR, credit creditFunc) []float64 {
 	var shared []float64
 	switch {
+	case sp.cands != nil:
+		// Each row of w_G(0) in ascending group order: per user, the float
+		// order of Rule.baseFrom and Instance.BaseMarginals, so the view
+		// starts from their bits (adding a zero credit is exact).
+		marg := make([]float64, csr.NumUsers())
+		for u := range marg {
+			for _, g := range csr.UserGroups(profile.UserID(u)) {
+				marg[u] += credit(int(g), 0)
+			}
+		}
+		return marg
 	case sp.seed != nil:
 		shared = sp.seed
 	case sp.t0 != nil:
@@ -219,6 +262,37 @@ func (sp *greedySpec) startRow(inst *groups.Instance, r *Rule) []float64 {
 	marg := make([]float64, len(shared))
 	copy(marg, shared)
 	return marg
+}
+
+// localCSR is the candidates' view of csr: row i is candidate cands[i]'s
+// row, with global group IDs, so schedules and credits stay the instance's;
+// each group's member row lists the positions of its candidate members,
+// ascending because cands ascends. Groups no candidate joins keep empty rows.
+func localCSR(csr *groups.CSR, numGroups int, cands []int32) *groups.CSR {
+	v := &groups.CSR{UserOff: make([]int, len(cands)+1), GroupOff: make([]int, numGroups+1)}
+	for i, u := range cands {
+		v.UserOff[i+1] = v.UserOff[i] + csr.UserDegree(profile.UserID(u))
+	}
+	v.UserAdj = make([]groups.GroupID, 0, v.UserOff[len(cands)])
+	for _, u := range cands {
+		row := csr.UserGroups(profile.UserID(u))
+		v.UserAdj = append(v.UserAdj, row...)
+		for _, g := range row {
+			v.GroupOff[g+1]++
+		}
+	}
+	for g := 0; g < numGroups; g++ {
+		v.GroupOff[g+1] += v.GroupOff[g]
+	}
+	next := slices.Clone(v.GroupOff[:numGroups])
+	v.GroupAdj = make([]profile.UserID, len(v.UserAdj))
+	for i := range cands {
+		for _, g := range v.UserGroups(profile.UserID(i)) {
+			v.GroupAdj[next[g]] = profile.UserID(i)
+			next[g]++
+		}
+	}
+	return v
 }
 
 // randomTieArgmax returns the position in cand of a greatest marginal,

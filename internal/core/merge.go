@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"podium/internal/groups"
 	"podium/internal/profile"
@@ -11,31 +12,41 @@ import (
 // greedy (Mirzasoleiman et al.) under a pluggable rule, nil meaning coverage:
 // shard executors each run greedy of size k over their partition of the
 // population, and the merge round runs exact greedy of size budget over the
-// union of the shard winners, evaluated on the full instance so marginals
-// see global coverage. Because every credit-schedule objective is monotone
-// submodular (Prop. 4.2 for coverage), the composition carries a
-// constant-factor guarantee of the (1−1/e)·(1−1/e) shape. Duplicate
-// candidates collapse into the allowed mask.
+// union of the shard winners. The loop runs on the union's local view —
+// the candidates' own rows, each group's members cut to candidates
+// (engine.go) — with credits bound to the full instance, so marginals see
+// global coverage and weights, and users, marginals and score are
+// bit-identical to GreedyRestrictedRule on the union's mask; a merge walks
+// candidate links, not the population's. Because every credit-schedule
+// objective is monotone submodular (Prop. 4.2 for coverage), the composition
+// carries a constant-factor guarantee of the (1−1/e)·(1−1/e) shape.
+// Duplicate candidates collapse. Coverage on EBS instances runs the exact
+// rank-vector path over the union's mask.
 func MergeGreedyRule(inst *groups.Instance, candidates []profile.UserID, budget int, r *Rule, opt Options) (*Result, error) {
-	allowed, err := candidateMask(inst, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return GreedyRestrictedRule(inst, budget, allowed, r, opt)
-}
-
-// candidateMask validates merge candidates against the population and folds
-// them into an allowed mask (duplicates collapse).
-func candidateMask(inst *groups.Instance, candidates []profile.UserID) ([]bool, error) {
 	n := inst.Index.Repo().NumUsers()
-	allowed := make([]bool, n)
-	for _, u := range candidates {
+	cands := make([]int32, len(candidates))
+	for i, u := range candidates {
 		if int(u) < 0 || int(u) >= n {
 			return nil, fmt.Errorf("core: merge candidate %d outside population of %d", u, n)
 		}
+		cands[i] = int32(u)
+	}
+	slices.Sort(cands)
+	sp := greedySpec{budget: budget, cands: slices.Compact(cands), rule: r, opt: opt}
+	if inst.EBS && r.OrDefault().ebsExact {
+		sp.cands, sp.allowed = nil, candidateMask(n, sp.cands)
+	}
+	return greedyRule(inst, sp)
+}
+
+// candidateMask folds validated merge candidates into an allowed mask over a
+// population of n.
+func candidateMask(n int, cands []int32) []bool {
+	allowed := make([]bool, n)
+	for _, u := range cands {
 		allowed[u] = true
 	}
-	return allowed, nil
+	return allowed
 }
 
 // MergeProof is the proof-harness record for one instance: the merged

@@ -37,7 +37,8 @@ type StageTimings struct {
 	Picks int
 	// InitNs is candidate-list construction plus the start row (a copy of
 	// a memoized or seeded base, or a fresh rule sum) and schedule setup;
-	// for a customized select it includes deriving the seed (custom.go).
+	// for a customized select it includes deriving the seed (custom.go),
+	// and for a merge building its candidates' local view (engine.go).
 	InitNs int64
 	// ArgmaxNs is the per-pick argmax scans, including MergeNs.
 	ArgmaxNs int64

@@ -246,7 +246,9 @@ func TestRulesPropertySuite(t *testing.T) {
 				}
 
 				// GreeDi merge: partition the candidates across shards, run the
-				// restricted rule-greedy per shard, merge the winner union.
+				// restricted rule-greedy per shard, merge the winner union (one
+				// winner listed twice). The merge runs on the union's local
+				// view and must equal the full-instance loop on its mask.
 				shards := 2 + i%2
 				var winners []profile.UserID
 				for s := 0; s < shards; s++ {
@@ -260,26 +262,37 @@ func TestRulesPropertySuite(t *testing.T) {
 					}
 					winners = append(winners, part.Users...)
 				}
+				if len(winners) > 0 {
+					winners = append(winners, winners[len(winners)/2])
+				}
+				union := make([]bool, n)
+				for _, u := range winners {
+					union[u] = true
+				}
 				mergedWant, err := MergeGreedyRule(inst, winners, budget, r, Options{})
 				if err != nil {
 					t.Fatalf("instance %d: merge: %v", i, err)
 				}
-				inUnion := make(map[profile.UserID]bool, len(winners))
-				for _, u := range winners {
-					inUnion[u] = true
-				}
 				for _, u := range mergedWant.Users {
-					if !inUnion[u] {
+					if !union[u] {
 						t.Fatalf("instance %d: merged pick %d outside the candidate union", i, u)
 					}
 				}
-				for _, par := range []int{2, 8} {
+				for _, par := range []int{1, 2, 8} {
 					merged, err := MergeGreedyRule(inst, winners, budget, r, Options{Parallelism: par})
 					if err != nil {
 						t.Fatalf("instance %d: merge at parallelism %d: %v", i, par, err)
 					}
 					if !resultsIdentical(mergedWant, merged) {
 						t.Fatalf("instance %d: merge diverged at parallelism %d", i, par)
+					}
+					restricted, err := GreedyRestrictedRule(inst, budget, union, r, Options{Parallelism: par})
+					if err != nil {
+						t.Fatalf("instance %d: restricted to the union at parallelism %d: %v", i, par, err)
+					}
+					if !resultsIdentical(restricted, merged) {
+						t.Fatalf("instance %d (ws=%v cs=%v): merge diverged from the restricted loop on its union at parallelism %d\nrestricted %v %v\nmerge      %v %v",
+							i, ws, cs, par, restricted.Users, restricted.Marginals, merged.Users, merged.Marginals)
 					}
 				}
 			}

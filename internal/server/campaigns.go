@@ -257,7 +257,7 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 		Workers:       req.Workers,
 		TimeScale:     req.TimeScale,
 		Seed:          req.Seed,
-		Parallelism:   clampParallelism(req.Parallelism),
+		Parallelism:   ClampParallelism(req.Parallelism),
 		Metrics:       s.campMet,
 		Behavior: campaign.Behavior{
 			MeanLatencyMs: req.MeanLatencyMs,

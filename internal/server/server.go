@@ -376,11 +376,11 @@ func parseRule(s string) (*core.Rule, error) {
 	return r, nil
 }
 
-// clampParallelism bounds a request's worker count to [0, NumCPU]: negative
+// ClampParallelism bounds a request's worker count to [0, NumCPU]: negative
 // values (which would otherwise reach the core as a nonsense worker count)
 // mean sequential, and requests cannot demand more workers than the host has
-// CPUs.
-func clampParallelism(p int) int {
+// CPUs. The single-node handlers and the coordinator's merge both apply it.
+func ClampParallelism(p int) int {
 	if p < 0 {
 		return 0
 	}
@@ -473,7 +473,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
-	opt := core.Options{Parallelism: clampParallelism(req.Parallelism)}
+	opt := core.Options{Parallelism: ClampParallelism(req.Parallelism)}
 	var tim *core.StageTimings
 	if s.obsEnabled() || sp != nil {
 		tim = &core.StageTimings{}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"podium/internal/core"
 	"podium/internal/groups"
@@ -34,8 +35,15 @@ type Snapshot struct {
 	// insts memoizes ComputeWeights/ComputeCoverage (and EBS ranks) per
 	// (weights, coverage, budget): immutability makes the tables valid for
 	// the snapshot's whole lifetime, so only the first request of each
-	// combination pays the O(|𝒢|) construction.
-	insts sync.Map // instKey → *groups.Instance
+	// combination pays the O(|𝒢|) construction. The budget is part of the
+	// key only where the tables read it (EBS weights, Prop coverage), so
+	// Iden and LBS under Single coverage share one instance at every budget.
+	// Budgets come from clients and a snapshot on an image server or a shard
+	// lives as long as the process, so at most maxBudgetInsts budget-keyed
+	// instances are kept; budgeted counts them, and past the cap a request's
+	// instance is built and not stored.
+	insts    sync.Map // instKey → *groups.Instance
+	budgeted atomic.Int32
 
 	// topBySize memoizes the full size-descending group order behind
 	// /api/groups, an O(|𝒢| log |𝒢|) sort the pre-snapshot server paid per
@@ -44,12 +52,16 @@ type Snapshot struct {
 	topBySize []groups.GroupID
 }
 
-// instKey identifies one memoized diversification instance.
+// instKey identifies one memoized diversification instance; budget is 0
+// for the scheme pairs whose tables do not read it.
 type instKey struct {
 	ws     groups.WeightScheme
 	cs     groups.CoverageScheme
 	budget int
 }
+
+// maxBudgetInsts bounds the budget-keyed instances one snapshot memoizes.
+const maxBudgetInsts = 16
 
 // newSnapshot seals repo and freezes ix so every lazy structure is built
 // before concurrent readers can reach them, then wraps both as epoch e.
@@ -72,16 +84,30 @@ func (sn *Snapshot) Repo() *profile.Repository { return sn.repo }
 // Index returns the frozen group index. Callers must not mutate it.
 func (sn *Snapshot) Index() *groups.Index { return sn.index }
 
-// Instance returns the memoized diversification instance (𝒢, wei, cov) for
-// the scheme pair and budget, computing it on first use. The returned
+// Instance returns the diversification instance (𝒢, wei, cov) for the
+// scheme pair and budget, memoized on first use (see insts). The returned
 // instance is shared by concurrent requests; the selection core and the
 // explanation builder treat instances as read-only.
 func (sn *Snapshot) Instance(ws groups.WeightScheme, cs groups.CoverageScheme, budget int) *groups.Instance {
-	k := instKey{ws, cs, budget}
+	byBudget := ws == groups.WeightEBS || cs == groups.CoverProp
+	k := instKey{ws: ws, cs: cs}
+	if byBudget {
+		k.budget = budget
+	}
 	if v, ok := sn.insts.Load(k); ok {
 		return v.(*groups.Instance)
 	}
-	v, _ := sn.insts.LoadOrStore(k, groups.NewInstance(sn.index, ws, cs, budget))
+	inst := groups.NewInstance(sn.index, ws, cs, budget)
+	// A budget-keyed instance reserves its slot before storing, so
+	// concurrent misses never overfill the memo.
+	if byBudget && sn.budgeted.Add(1) > maxBudgetInsts {
+		sn.budgeted.Add(-1)
+		return inst
+	}
+	v, loaded := sn.insts.LoadOrStore(k, inst)
+	if loaded && byBudget {
+		sn.budgeted.Add(-1)
+	}
 	return v.(*groups.Instance)
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"podium/internal/core"
 	"podium/internal/groups"
 	"podium/internal/profile"
+	"podium/internal/synth"
 )
 
 func TestClampParallelism(t *testing.T) {
@@ -22,8 +24,42 @@ func TestClampParallelism(t *testing.T) {
 		{-1, 0}, {-100, 0}, {0, 0}, {1, 1}, {max, max}, {max + 1, max}, {1 << 20, max},
 	}
 	for _, c := range cases {
-		if got := clampParallelism(c.in); got != c.want {
-			t.Errorf("clampParallelism(%d) = %d, want %d", c.in, got, c.want)
+		if got := ClampParallelism(c.in); got != c.want {
+			t.Errorf("ClampParallelism(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestSnapshotInstanceMemoBounded: client budgets cannot grow a snapshot's
+// instance memo without bound. On a cache-off server, 50 distinct budgets
+// under LBS/Single share one instance, whose tables do not read the budget,
+// and 50 under Iden/Prop store no more than maxBudgetInsts more. Every body
+// equals the body of a fresh server.
+func TestSnapshotInstanceMemoBounded(t *testing.T) {
+	repo := synth.Generate(synth.ScaleLike(300)).Repo
+	cfg := groups.Config{K: 3}
+	s := New("memo", repo, cfg, nil)
+	s.SetSelectCacheEnabled(false)
+	for _, tc := range []struct {
+		schemes string
+		entries int
+	}{
+		{`"weights":"LBS","coverage":"Single"`, 1},
+		{`"weights":"Iden","coverage":"Prop"`, 1 + maxBudgetInsts},
+	} {
+		for b := 1; b <= 50; b++ {
+			body := fmt.Sprintf(`{"budget":%d,%s}`, b, tc.schemes)
+			got := doJSON(t, s, http.MethodPost, "/api/v1/select", body, nil)
+			want := doJSON(t, New("fresh", repo, cfg, nil), http.MethodPost, "/api/v1/select", body, nil)
+			if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("select %s: HTTP %d, body differs from a fresh server's (HTTP %d):\n%s\n%s",
+					body, got.Code, want.Code, got.Body.String(), want.Body.String())
+			}
+		}
+		n := 0
+		s.Snapshot().insts.Range(func(_, _ any) bool { n++; return true })
+		if n != tc.entries {
+			t.Fatalf("after 50 budgets of %s: %d memoized instances, want %d", tc.schemes, n, tc.entries)
 		}
 	}
 }

@@ -283,7 +283,7 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 	msp := sp.StartChild("merge")
 	sn := co.base.Snapshot()
 	inst := sn.Instance(ws, cs, req.Budget)
-	res, err := core.MergeGreedyRule(inst, candidates, req.Budget, rule, core.Options{Parallelism: req.Parallelism})
+	res, err := core.MergeGreedyRule(inst, candidates, req.Budget, rule, core.Options{Parallelism: server.ClampParallelism(req.Parallelism)})
 	msp.End()
 	if err != nil {
 		server.WriteError(w, r, http.StatusInternalServerError, server.CodeInternal, "merge: %v", err)

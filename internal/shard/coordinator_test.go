@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -164,6 +165,31 @@ func TestCoordinatorRejectsShardLocalConcepts(t *testing.T) {
 	}
 	if _, err := c.Select(client.SelectRequest{Budget: 3, Config: "paper"}); err == nil {
 		t.Fatal("named-config select accepted by coordinator")
+	}
+}
+
+// TestCoordinatorClampsParallelism: the coordinator bounds a request's
+// parallelism to [0, NumCPU] before its merge, as the single-node handler
+// does, so a negative or huge worker count returns the body of parallelism
+// 0. With 200 users no group reaches the engine's 256-member sharding
+// cutoff, so none of these requests starts a worker.
+func TestCoordinatorClampsParallelism(t *testing.T) {
+	h := newCoordHarness(t, 200, 2)
+	body := func(par int) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := fmt.Sprintf(`{"budget":5,"rule":"harmonic","parallelism":%d}`, par)
+		h.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(req)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", req, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	want := body(0)
+	for _, par := range []int{-3, 1 << 20} {
+		if got := body(par); got != want {
+			t.Fatalf("parallelism %d: body differs from parallelism 0\n got  %s\n want %s", par, got, want)
+		}
 	}
 }
 
