@@ -1,31 +1,22 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
+	"podium/internal/durable"
 	"podium/internal/profile"
 )
 
-// The campaign WAL follows the repolog framing exactly — magic + version
-// header, then checksummed records — so a killed orchestrator recovers the
-// valid prefix and resumes mid-round. Unlike repolog (whose records rebuild a
-// repository), these records are the campaign's round transcript itself:
-// replaying them reconstructs the orchestrator state bit for bit, and the
-// deterministic simulation guarantees the continuation appends the same bytes
-// an uninterrupted run would have.
-//
-// File layout:
-//
-//	magic "PCMP" | format version (1 byte) | record*
-//	record := kind (1 byte) | uvarint len | payload | crc32(kind‖payload)
+// The campaign WAL is a durable.Journal, like the repository log, so a killed
+// orchestrator recovers the valid prefix and resumes mid-round. Unlike the
+// repository log (whose records rebuild a repository), these records are the
+// campaign's round transcript itself: replaying them reconstructs the
+// orchestrator state bit for bit, and the deterministic simulation guarantees
+// the continuation appends the same bytes an uninterrupted run would have.
 const (
 	walMagic   = "PCMP"
 	walVersion = 1
@@ -51,9 +42,7 @@ const (
 // WAL journals one campaign. It is used only by the campaign's orchestrator
 // goroutine, never concurrently.
 type WAL struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	j *durable.Journal
 	// Recovered reports how many trailing bytes were discarded as a torn
 	// tail during Open.
 	Recovered int64
@@ -104,151 +93,18 @@ func (evDone) walEvent()     {}
 // leaving a resume with no journal where record appends had already been
 // acknowledged.
 func OpenWAL(path string) (*WAL, []walEvent, error) {
-	_, statErr := os.Stat(path)
-	fresh := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var events []walEvent
+	j, err := durable.Open(path, walMagic, walVersion, maxWALRecordLen, func(kind byte, payload []byte) error {
+		ev, err := decodeWALEvent(kind, payload)
+		if err == nil {
+			events = append(events, ev)
+		}
+		return err
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: %w", err)
-	}
-	w := &WAL{path: path, f: f}
-	events, err := w.replay()
-	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	if fresh {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("campaign: syncing new journal: %w", err)
-		}
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	w.w = bufio.NewWriter(f)
-	return w, events, nil
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed entry in it
-// survives a crash. Platforms that cannot fsync directories return an error
-// from Sync; that is tolerated (best effort, matching repolog's rename
-// path), but failure to open the directory is not.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("campaign: opening dir for sync: %w", err)
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
-}
-
-func (w *WAL) replay() ([]walEvent, error) {
-	info, err := w.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if info.Size() == 0 {
-		if _, err := w.f.WriteString(walMagic); err != nil {
-			return nil, fmt.Errorf("campaign: writing header: %w", err)
-		}
-		if _, err := w.f.Write([]byte{walVersion}); err != nil {
-			return nil, fmt.Errorf("campaign: writing header: %w", err)
-		}
-		return nil, nil
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	r := bufio.NewReader(w.f)
-	head := make([]byte, len(walMagic)+1)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("campaign: reading header: %w", err)
-	}
-	if string(head[:len(walMagic)]) != walMagic {
-		return nil, fmt.Errorf("campaign: %s is not a campaign journal", w.path)
-	}
-	if head[len(walMagic)] != walVersion {
-		return nil, fmt.Errorf("campaign: unsupported journal version %d", head[len(walMagic)])
-	}
-	var events []walEvent
-	valid := int64(len(head))
-	for {
-		kind, payload, n, err := readWALRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn tail: keep the valid prefix, drop the rest.
-			w.Recovered = info.Size() - valid
-			break
-		}
-		ev, err := decodeWALEvent(kind, payload)
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, ev)
-		valid += n
-	}
-	if w.Recovered > 0 {
-		if err := w.f.Truncate(valid); err != nil {
-			return nil, fmt.Errorf("campaign: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := w.f.Seek(valid, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	return events, nil
-}
-
-func readWALRecord(r *bufio.Reader) (kind byte, payload []byte, n int64, err error) {
-	kind, err = r.ReadByte()
-	if err != nil {
-		return 0, nil, 0, io.EOF
-	}
-	plen, lenBytes, err := readUvarintCounted(r)
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("campaign: record length: %w", err)
-	}
-	if plen > maxWALRecordLen {
-		return 0, nil, 0, fmt.Errorf("campaign: record of %d bytes exceeds limit", plen)
-	}
-	payload = make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("campaign: record payload: %w", err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return 0, nil, 0, fmt.Errorf("campaign: record checksum: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write([]byte{kind})
-	sum.Write(payload)
-	if binary.LittleEndian.Uint32(crcBuf[:]) != sum.Sum32() {
-		return 0, nil, 0, fmt.Errorf("campaign: checksum mismatch")
-	}
-	return kind, payload, int64(1) + int64(lenBytes) + int64(plen) + 4, nil
-}
-
-func readUvarintCounted(r *bufio.Reader) (uint64, int, error) {
-	var v uint64
-	var shift, n int
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, n, err
-		}
-		n++
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, n, nil
-		}
-		shift += 7
-		if shift > 63 {
-			return 0, n, fmt.Errorf("varint overflow")
-		}
-	}
+	return &WAL{j: j, Recovered: j.Recovered}, events, nil
 }
 
 func decodeWALEvent(kind byte, payload []byte) (walEvent, error) {
@@ -432,8 +288,8 @@ func (w *WAL) AppendDone(status byte, panel []profile.UserID) error {
 	return w.append(recDone, buf.Bytes())
 }
 
-// append frames, writes and syncs one record. Each record is durable before
-// the orchestrator proceeds — the wave is the campaign's durability unit.
+// append journals and syncs one record. Each record is durable before the
+// orchestrator proceeds — the wave is the campaign's durability unit.
 func (w *WAL) append(kind byte, payload []byte) error {
 	if w.failAfter != 0 {
 		w.failAfter--
@@ -441,38 +297,11 @@ func (w *WAL) append(kind byte, payload []byte) error {
 			return errKilled
 		}
 	}
-	if err := w.w.WriteByte(kind); err != nil {
-		return fmt.Errorf("campaign: %w", err)
+	if err := w.j.Append(kind, payload); err != nil {
+		return err
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	if _, err := w.w.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(payload)))]); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write([]byte{kind})
-	sum.Write(payload)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], sum.Sum32())
-	if _, err := w.w.Write(crcBuf[:]); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return nil
+	return w.j.Sync()
 }
 
-// Close flushes and closes the journal.
-func (w *WAL) Close() error {
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return w.f.Close()
-}
+// Close syncs and closes the journal.
+func (w *WAL) Close() error { return w.j.Close() }

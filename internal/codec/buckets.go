@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"podium/internal/bucketing"
+	"podium/internal/durable"
 	"podium/internal/profile"
 )
 
@@ -159,28 +160,10 @@ func ReadBuckets(data []byte) (map[profile.PropertyID][]bucketing.Bucket, error)
 	return out, nil
 }
 
-// WriteBucketsFile writes the boundaries to path atomically (temp file +
-// rename), like WriteImageFile.
+// WriteBucketsFile writes the boundaries to path atomically, like
+// WriteImageFile.
 func WriteBucketsFile(path string, buckets map[profile.PropertyID][]bucketing.Bucket) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("codec: %w", err)
-	}
-	if err := WriteBuckets(f, buckets); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("codec: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("codec: %w", err)
-	}
-	return nil
+	return durable.WriteFile(path, func(w io.Writer) error { return WriteBuckets(w, buckets) })
 }
 
 // ReadBucketsFile loads persisted bucket boundaries.

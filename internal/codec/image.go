@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 
+	"podium/internal/durable"
 	"podium/internal/profile"
 )
 
@@ -301,28 +302,10 @@ func decodeStrings(offBytes, blobBytes []byte, what string) ([]string, error) {
 	return out, nil
 }
 
-// WriteImageFile writes the v2 snapshot image to path atomically (temp file
-// + rename).
+// WriteImageFile writes the v2 snapshot image to path atomically, through
+// durable.WriteFile: the image is fsynced before it replaces path.
 func WriteImageFile(path string, repo *profile.Repository) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("codec: %w", err)
-	}
-	if err := WriteRepositoryImage(f, repo); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("codec: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("codec: %w", err)
-	}
-	return nil
+	return durable.WriteFile(path, func(w io.Writer) error { return WriteRepositoryImage(w, repo) })
 }
 
 // ReadImageFile loads a v2 snapshot image: one read, one validate. This is

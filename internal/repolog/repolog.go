@@ -6,29 +6,22 @@
 // updates": the platform appends profile mutations as they happen, and every
 // selection run opens the log and replays it into an in-memory repository.
 //
-// File layout:
-//
-//	magic "PLOG" | format version (1 byte) | record*
-//	record := kind (1 byte) | payload | crc32(kind‖payload) (4 bytes LE)
-//
-// Record kinds: snapshot (a full repository in the internal/codec binary
-// format, length-prefixed), add-user, set-score. Replay follows WAL
-// convention: a torn or corrupted tail — the signature of a crash mid-append
-// — is truncated and reported; everything before it is recovered.
+// The log is a durable.Journal with magic "PLOG", version 1 and records of
+// at most 1 GiB. Record kinds: snapshot (a full repository in the
+// internal/codec binary format), add-user, set-score. A torn or corrupted
+// tail — the signature of a crash mid-append — is truncated and reported;
+// everything before it is recovered.
 package repolog
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"podium/internal/codec"
+	"podium/internal/durable"
 	"podium/internal/profile"
 )
 
@@ -50,8 +43,7 @@ const (
 // snapshot instead of holding the log open).
 type Log struct {
 	path string
-	f    *os.File
-	w    *bufio.Writer
+	j    *durable.Journal
 	repo *profile.Repository
 	// appended counts mutation records since the last snapshot, for
 	// compaction heuristics.
@@ -65,139 +57,22 @@ type Log struct {
 	Recovered int64
 }
 
-// Open opens (or creates) the log at path and replays it into memory.
+// Open opens (or creates) the log at path and replays it into memory. A new
+// log's header is fsynced, with its directory, before Open returns.
 func Open(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	l := &Log{path: path, repo: profile.NewRepository()}
+	j, err := durable.Open(path, logMagic, logVersion, maxRecordLen, l.apply)
 	if err != nil {
-		return nil, fmt.Errorf("repolog: %w", err)
-	}
-	l := &Log{path: path, f: f, repo: profile.NewRepository()}
-	if err := l.replay(); err != nil {
-		f.Close()
 		return nil, err
 	}
-	l.w = bufio.NewWriter(f)
+	l.j, l.Recovered = j, j.Recovered
 	return l, nil
 }
 
-// replay loads the file, handling the empty (fresh) case, and truncates any
-// torn tail.
-func (l *Log) replay() error {
-	info, err := l.f.Stat()
-	if err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if info.Size() == 0 {
-		// Fresh log: write the header.
-		if _, err := l.f.WriteString(logMagic); err != nil {
-			return fmt.Errorf("repolog: writing header: %w", err)
-		}
-		if _, err := l.f.Write([]byte{logVersion}); err != nil {
-			return fmt.Errorf("repolog: writing header: %w", err)
-		}
-		return nil
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	r := bufio.NewReader(l.f)
-	head := make([]byte, len(logMagic)+1)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return fmt.Errorf("repolog: reading header: %w", err)
-	}
-	if string(head[:len(logMagic)]) != logMagic {
-		return fmt.Errorf("repolog: %s is not a repository log", l.path)
-	}
-	if head[len(logMagic)] != logVersion {
-		return fmt.Errorf("repolog: unsupported log version %d", head[len(logMagic)])
-	}
-	valid := int64(len(head))
-	for {
-		rec, n, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn tail: keep the valid prefix, drop the rest.
-			l.Recovered = info.Size() - valid
-			break
-		}
-		if err := l.apply(rec); err != nil {
-			return err
-		}
-		valid += n
-	}
-	if l.Recovered > 0 {
-		if err := l.f.Truncate(valid); err != nil {
-			return fmt.Errorf("repolog: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := l.f.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	return nil
-}
-
-// record is a decoded log record.
-type record struct {
-	kind    byte
-	payload []byte
-}
-
-func readRecord(r *bufio.Reader) (record, int64, error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		return record{}, 0, io.EOF
-	}
-	plen, lenBytes, err := readUvarintCounted(r)
-	if err != nil {
-		return record{}, 0, fmt.Errorf("repolog: record length: %w", err)
-	}
-	if plen > maxRecordLen {
-		return record{}, 0, fmt.Errorf("repolog: record of %d bytes exceeds limit", plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return record{}, 0, fmt.Errorf("repolog: record payload: %w", err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return record{}, 0, fmt.Errorf("repolog: record checksum: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write([]byte{kind})
-	sum.Write(payload)
-	if binary.LittleEndian.Uint32(crcBuf[:]) != sum.Sum32() {
-		return record{}, 0, fmt.Errorf("repolog: checksum mismatch")
-	}
-	total := int64(1) + int64(lenBytes) + int64(plen) + 4
-	return record{kind: kind, payload: payload}, total, nil
-}
-
-func readUvarintCounted(r *bufio.Reader) (uint64, int, error) {
-	var v uint64
-	var shift, n int
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, n, err
-		}
-		n++
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, n, nil
-		}
-		shift += 7
-		if shift > 63 {
-			return 0, n, fmt.Errorf("varint overflow")
-		}
-	}
-}
-
-// apply folds one record into the in-memory repository.
-func (l *Log) apply(rec record) error {
-	p := bytes.NewReader(rec.payload)
-	switch rec.kind {
+// apply folds one replayed record into the in-memory repository.
+func (l *Log) apply(kind byte, payload []byte) error {
+	p := bytes.NewReader(payload)
+	switch kind {
 	case recSnapshot:
 		repo, err := codec.ReadRepository(p)
 		if err != nil {
@@ -231,7 +106,7 @@ func (l *Log) apply(rec record) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("repolog: unknown record kind %d", rec.kind)
+	return fmt.Errorf("repolog: unknown record kind %d", kind)
 }
 
 // Repository returns the in-memory replayed repository. It is owned by the
@@ -242,19 +117,22 @@ func (l *Log) Repository() *profile.Repository { return l.repo }
 // the input to a caller's compaction policy.
 func (l *Log) Appended() int { return l.appended }
 
-// AddUser appends a user durably and returns its ID.
+// AddUser stages an add-user record, applies it to the replayed repository
+// and returns the user's ID. The record becomes durable at the next Sync or
+// Close.
 func (l *Log) AddUser(name string) (profile.UserID, error) {
 	var payload bytes.Buffer
 	encodeString(&payload, name)
-	if err := l.append(recAddUser, payload.Bytes()); err != nil {
+	if err := l.j.Append(recAddUser, payload.Bytes()); err != nil {
 		return 0, err
 	}
 	l.appended++
 	return l.repo.AddUser(name), nil
 }
 
-// SetScore appends a score mutation durably. Validation happens before the
-// write so an invalid score never reaches the log.
+// SetScore stages a score mutation and applies it to the replayed
+// repository; it becomes durable at the next Sync or Close. Validation
+// happens before the write so an invalid score never reaches the log.
 func (l *Log) SetScore(u profile.UserID, label string, score float64) error {
 	if math.IsNaN(score) || score < 0 || score > 1 {
 		return fmt.Errorf("repolog: score %v for %q outside [0,1]", score, label)
@@ -262,7 +140,7 @@ func (l *Log) SetScore(u profile.UserID, label string, score float64) error {
 	if int(u) < 0 || int(u) >= l.repo.NumUsers() {
 		return fmt.Errorf("repolog: unknown user %d", u)
 	}
-	if err := l.append(recSetScore, encodeSetScore(u, label, score)); err != nil {
+	if err := l.j.Append(recSetScore, encodeSetScore(u, label, score)); err != nil {
 		return err
 	}
 	l.appended++
@@ -279,7 +157,7 @@ func (l *Log) SetScore(u profile.UserID, label string, score float64) error {
 func (l *Log) AppendAddUser(name string) error {
 	var payload bytes.Buffer
 	encodeString(&payload, name)
-	if err := l.append(recAddUser, payload.Bytes()); err != nil {
+	if err := l.j.Append(recAddUser, payload.Bytes()); err != nil {
 		return err
 	}
 	l.appended++
@@ -298,7 +176,7 @@ func (l *Log) AppendSetScore(u profile.UserID, label string, score float64) erro
 	if int(u) < 0 {
 		return fmt.Errorf("repolog: negative user %d", u)
 	}
-	if err := l.append(recSetScore, encodeSetScore(u, label, score)); err != nil {
+	if err := l.j.Append(recSetScore, encodeSetScore(u, label, score)); err != nil {
 		return err
 	}
 	l.appended++
@@ -318,44 +196,14 @@ func encodeSetScore(u profile.UserID, label string, score float64) []byte {
 	return payload.Bytes()
 }
 
-func (l *Log) append(kind byte, payload []byte) error {
-	if err := l.w.WriteByte(kind); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	if _, err := l.w.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(payload)))]); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write([]byte{kind})
-	sum.Write(payload)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], sum.Sum32())
-	if _, err := l.w.Write(crcBuf[:]); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	return nil
-}
+// Sync flushes staged records and fsyncs the file.
+func (l *Log) Sync() error { return l.j.Sync() }
 
-// Sync flushes buffered records and fsyncs the file.
-func (l *Log) Sync() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	return nil
-}
-
-// Compact rewrites the log as a single snapshot record, atomically via a
-// temp file + rename, and reopens the write handle on the new file. It
-// snapshots the log's replayed repository, so it refuses to run once the
-// append-only API has detached that repository from the true state — use
-// CompactWith with the authoritative repository instead.
+// Compact rewrites the log as a single snapshot record, atomically, and
+// appends continue on the new file. It snapshots the log's replayed
+// repository, so it refuses to run once the append-only API has detached
+// that repository from the true state — use CompactWith with the
+// authoritative repository instead.
 func (l *Log) Compact() error {
 	if l.detached {
 		return fmt.Errorf("repolog: log has append-only records; use CompactWith")
@@ -368,83 +216,20 @@ func (l *Log) Compact() error {
 // repository becomes the log's replayed repository.
 func (l *Log) CompactWith(repo *profile.Repository) error {
 	l.repo = repo
-	if err := l.Sync(); err != nil {
-		return err
-	}
-	tmpPath := l.path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	bw := bufio.NewWriter(tmp)
-	if _, err := bw.WriteString(logMagic); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if err := bw.WriteByte(logVersion); err != nil {
-		return fmt.Errorf("repolog: %w", err)
-	}
 	var snap bytes.Buffer
-	if err := codec.WriteRepository(&snap, l.repo); err != nil {
+	if err := codec.WriteRepository(&snap, repo); err != nil {
 		return fmt.Errorf("repolog: snapshot: %w", err)
 	}
-	old := l.w
-	l.w = bw
-	err = l.append(recSnapshot, snap.Bytes())
-	l.w = old
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
+	if err := l.j.Replace(recSnapshot, snap.Bytes()); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("repolog: %w", err)
-	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("repolog: %w", err)
-	}
-	// Durable rename on the containing directory (best effort on platforms
-	// without directory fsync).
-	if dir, err := os.Open(filepath.Dir(l.path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	// Reopen the handle on the new inode, positioned at the end.
-	newF, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("repolog: reopening after compaction: %w", err)
-	}
-	if _, err := newF.Seek(0, io.SeekEnd); err != nil {
-		newF.Close()
-		return fmt.Errorf("repolog: %w", err)
-	}
-	l.f.Close()
-	l.f = newF
-	l.w = bufio.NewWriter(newF)
 	l.appended = 0
 	l.detached = false
 	return nil
 }
 
-// Close flushes and closes the log.
-func (l *Log) Close() error {
-	if err := l.Sync(); err != nil {
-		l.f.Close()
-		return err
-	}
-	return l.f.Close()
-}
+// Close syncs and closes the log.
+func (l *Log) Close() error { return l.j.Close() }
 
 func encodeString(buf *bytes.Buffer, s string) {
 	var tmp [binary.MaxVarintLen64]byte

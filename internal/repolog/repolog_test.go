@@ -1,10 +1,15 @@
 package repolog
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"podium/internal/codec"
 	"podium/internal/profile"
 )
 
@@ -350,5 +355,118 @@ func TestCompactDetachedRequiresCompactWith(t *testing.T) {
 	pid, _ := back.Repository().Catalog().Lookup("p")
 	if s, _ := back.Repository().Profile(u).Score(pid); s != 0.9 {
 		t.Fatalf("score after compaction = %v, want 0.9", s)
+	}
+}
+
+// TestCrashAtEverySync copies the log after every fsync — the file a crash
+// right after it would leave — and requires each copy to replay exactly the
+// mutations synced so far: staged batches with a Sync after each, and a
+// compaction between them.
+func TestCrashAtEverySync(t *testing.T) {
+	l, path := openTemp(t)
+	want := profile.NewRepository()
+	type crash struct{ file, state []byte }
+	var crashes []crash
+	snapshot := func() {
+		t.Helper()
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var state bytes.Buffer
+		if err := codec.WriteRepository(&state, want); err != nil {
+			t.Fatal(err)
+		}
+		crashes = append(crashes, crash{file, state.Bytes()})
+	}
+	snapshot() // Open fsynced the new log's header
+	for batch := 0; batch < 12; batch++ {
+		for m := 0; m <= batch%4; m++ {
+			if batch%3 == 0 || want.NumUsers() == 0 {
+				name := fmt.Sprintf("u%d.%d", batch, m)
+				want.AddUser(name)
+				if err := l.AppendAddUser(name); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			u := profile.UserID((batch * 7 / (m + 1)) % want.NumUsers())
+			label, score := fmt.Sprintf("p%d", (batch+m)%5), float64(batch*m%11)/10
+			want.MustSetScore(u, label, score)
+			if err := l.AppendSetScore(u, label, score); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		snapshot()
+		if batch == 6 {
+			if err := l.CompactWith(want.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			snapshot()
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, c := range crashes {
+		copyPath := filepath.Join(dir, fmt.Sprintf("crash%d.plog", i))
+		if err := os.WriteFile(copyPath, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Open(copyPath)
+		if err != nil {
+			t.Fatalf("crash %d: %v", i, err)
+		}
+		var got bytes.Buffer
+		if err := codec.WriteRepository(&got, back.Repository()); err != nil {
+			t.Fatal(err)
+		}
+		back.Close()
+		if back.Recovered != 0 || !bytes.Equal(got.Bytes(), c.state) {
+			t.Fatalf("crash %d: replay (recovered %d) differs from the mutations synced so far", i, back.Recovered)
+		}
+	}
+}
+
+// A torn tail can declare a record as long as the format's cap. Replay must
+// see that the file cannot hold it before allocating anything: the 23-byte
+// log below ends in a snapshot kind and a 1 GiB length.
+func TestTornHugeLengthAllocatesNothing(t *testing.T) {
+	l, path := openTemp(t)
+	if _, err := l.AddUser("Alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := binary.AppendUvarint([]byte{recSnapshot}, maxRecordLen)
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if info, _ := os.Stat(path); info.Size() != 23 {
+		t.Fatalf("log is %d bytes, want 23", info.Size())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	back, err := Open(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("replay allocated %d bytes for a 23-byte log", alloc)
+	}
+	if back.Recovered != int64(len(tail)) || back.Repository().NumUsers() != 1 {
+		t.Fatalf("recovered %d bytes and %d users, want %d and 1", back.Recovered, back.Repository().NumUsers(), len(tail))
 	}
 }

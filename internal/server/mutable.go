@@ -99,6 +99,9 @@ func NewMutableOpts(name, logPath string, cfg groups.Config, configs []NamedConf
 	if err != nil {
 		return nil, err
 	}
+	if l.Recovered > 0 {
+		log.Printf("server: repository log %s: truncated a torn tail of %d bytes", logPath, l.Recovered)
+	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 256
 	}

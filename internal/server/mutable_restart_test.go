@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -173,5 +174,52 @@ func TestMutableRestartSurvivesCorruptSidecar(t *testing.T) {
 	}
 	if _, err := codec.ReadBuckets(fresh); err != nil {
 		t.Fatalf("rewritten sidecar does not verify: %v", err)
+	}
+}
+
+// captureLog runs fn with the standard logger writing to a buffer and
+// returns what it logged.
+func captureLog(fn func()) string {
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	fn()
+	log.SetOutput(prev)
+	return buf.String()
+}
+
+// A server that truncates a torn tail from its log at start says so, with
+// the log's path and the bytes dropped; a clean log says nothing.
+func TestMutableLogsRecoveredTail(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "torn.plog")
+	ms, err := NewMutable("live", logPath, groups.Config{K: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyMutations(t, ms, restartMutations)
+	if err := ms.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{2, 5, 'U'}) // an add-user record cut mid-payload
+	f.Close()
+
+	for _, want := range []string{fmt.Sprintf("%s: truncated a torn tail of 3 bytes", logPath), ""} {
+		var back *MutableServer
+		out := captureLog(func() { back, err = NewMutable("live", logPath, groups.Config{K: 3}, nil) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		selectionFingerprint(t, back)
+		back.Close()
+		if want == "" && strings.Contains(out, "torn tail") {
+			t.Fatalf("clean log reported a torn tail: %q", out)
+		}
+		if !strings.Contains(out, want) {
+			t.Fatalf("start-up log %q does not contain %q", out, want)
+		}
 	}
 }

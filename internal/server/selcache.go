@@ -24,11 +24,12 @@ import (
 //
 // Invalidation is computed once per batch, not per request: the single-writer
 // apply loop calls applyDelta with the batch's change record before
-// publishing the epoch; a non-empty record advances the global watermark and
-// stamps the per-user and per-group watermark arrays (last-relevant-mutation
-// sequence at user/group granularity — O(Δ) writer work). The read path then
-// decides hit-or-miss with one integer comparison: a cached entry computed at
-// watermark W is valid for a snapshot whose ChangeSeq is still ≤ W. Batches
+// publishing the epoch; a non-empty record advances the global watermark,
+// stamps the per-user watermark array (the last relevant mutation's sequence
+// per user — O(Δ) writer work) and, when it reshaped the group structure,
+// the reshape fence. The read path then decides hit-or-miss with one integer
+// comparison: a cached entry computed at watermark W is valid for a snapshot
+// whose ChangeSeq is still ≤ W. Batches
 // whose mutations move no user between groups (same-bucket score rewrites)
 // leave the watermark untouched, so the cache rides through them — the
 // mesh exemplar's "serve until lastChangedAt passes the entry" shape, with
@@ -43,10 +44,9 @@ import (
 // the SelectorState contract. A feedback miss skips the state: it runs the
 // customized greedy on the snapshot's memoized instance, whose base row the
 // tiered start row derives from (core.GreedyCustomOpts), so concurrent
-// feedback misses never queue on one state's lock. Group-granular watermarks
-// serve diagnostics and the reshape fence; the full response depends on
-// every group's weight (the explanation report ranks all groups), so
-// response validity itself is gated on the global watermark — exact, because
+// feedback misses never queue on one state's lock. The full response depends
+// on every group's weight (the explanation report ranks all groups), so
+// response validity is gated on the global watermark — exact, because
 // irrelevant writes never advance it.
 type selectCache struct {
 	met *obs.SelectCacheMetrics
@@ -58,13 +58,12 @@ type selectCache struct {
 	// batch. Written by the single writer, read lock-free per request.
 	seq atomic.Uint64
 
-	// mu guards the watermark arrays, the entry and state maps, and their
-	// recency lists.
+	// mu guards the watermark array, the reshape fence, the entry and state
+	// maps, and their recency lists.
 	mu sync.Mutex
-	// userSeq[u] / groupSeq[g] is the last watermark that touched u / g;
-	// reshapeSeq the last that reshaped the group structure.
+	// userSeq[u] is the last watermark that touched u; reshapeSeq the last
+	// that reshaped the group structure.
 	userSeq    []uint64
-	groupSeq   []uint64
 	reshapeSeq uint64
 	entries    map[selCacheKey]*selCacheEntry
 	states     map[selStateKey]*selState
@@ -181,7 +180,7 @@ func (c *selectCache) noteBypass(rule string) {
 
 // applyDelta folds one mutation batch's change record into the watermarks.
 // Called by the single writer before the batch's snapshot is published, so by
-// the time a reader can hold the new epoch the arrays already cover it. An
+// the time a reader can hold the new epoch the watermarks already cover it. An
 // empty delta leaves every watermark untouched: cached entries stay valid
 // across the epoch flip, which is the whole point.
 func (c *selectCache) applyDelta(d *groups.Delta) {
@@ -195,12 +194,6 @@ func (c *selectCache) applyDelta(d *groups.Delta) {
 			c.userSeq = append(c.userSeq, 0)
 		}
 		c.userSeq[u] = d.Seq
-	}
-	for _, g := range d.Groups {
-		for int(g) >= len(c.groupSeq) {
-			c.groupSeq = append(c.groupSeq, 0)
-		}
-		c.groupSeq[g] = d.Seq
 	}
 	if d.Reshaped {
 		c.reshapeSeq = d.Seq
@@ -223,17 +216,6 @@ func (c *selectCache) changedSince(lo, hi uint64) (users []profile.UserID, resha
 	}
 	reshaped = c.reshapeSeq > lo && c.reshapeSeq <= hi
 	return users, reshaped
-}
-
-// GroupWatermark returns the last watermark that touched group g (0 if
-// never), for diagnostics and tests.
-func (c *selectCache) GroupWatermark(g groups.GroupID) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int(g) < len(c.groupSeq) {
-		return c.groupSeq[g]
-	}
-	return 0
 }
 
 // entry returns the cached-response slot for k, evicting the least-recently-

@@ -34,6 +34,10 @@
 #      -fuzzminimizetime 100x caps the shrinking of each new input: unbounded,
 #      the run spends its 15 s minimizing the first input it derives from a
 #      multi-kilobyte body seed and executes only a few hundred inputs
+#   8. a bounded fuzz run (10 s) of journal replay (FuzzOpen in
+#      internal/durable): arbitrary bytes after a valid header must open
+#      without a panic, and the file Open leaves must reopen to the same
+#      records with nothing more recovered
 #
 # `./scripts/check.sh race` (what `make race` runs) runs step 6 alone; the
 # package list below is the only copy.
@@ -76,5 +80,8 @@ race
 
 echo "== go test -fuzz FuzzDecodeSelection ./internal/client"
 go test -run '^$' -fuzz '^FuzzDecodeSelection$' -fuzztime 15s -fuzzminimizetime 100x ./internal/client
+
+echo "== go test -fuzz FuzzOpen ./internal/durable"
+go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 100x ./internal/durable
 
 echo "check: all green"
