@@ -71,7 +71,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
 		in          = flag.String("in", "", "profiles file: JSON, binary or repository log (overrides -dataset)")
-		logPath     = flag.String("log", "", "repository log path: serve a MUTABLE repository backed by this log (POST /api/users, /api/scores)")
+		logPath     = flag.String("log", "", "repository log path: serve a MUTABLE repository backed by this log (POST /api/v1/users, /api/v1/scores)")
 		dataset     = flag.String("dataset", "tripadvisor", "generator preset when no -in: tripadvisor | yelp")
 		snapImage   = flag.String("snapshot-image", "", "format-v2 binary snapshot image path: load the repository from it when present (near-instant restart), else persist one after the usual -in/-dataset load (immutable mode only)")
 		users       = flag.Int("users", 500, "generated user count when no -in")

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"podium/internal/bucketing"
-	"podium/internal/durable"
 	"podium/internal/profile"
 )
 
@@ -21,9 +20,10 @@ import (
 // repository log and rebuilds its group index, but re-running the splitting
 // method over the final score distribution can derive different cuts than the
 // live incrementally-bucketed index that produced the log — and different
-// cuts mean different groups and different selections. Persisting the
-// boundaries and rebuilding with groups.Config.FixedBuckets makes a restart
-// bit-reproduce the live index's group memberships.
+// cuts mean different groups and different selections. The repository log's
+// boundaries records carry this section as their payload, and rebuilding with
+// groups.Config.FixedBuckets makes a restart bit-reproduce the live index's
+// group memberships.
 //
 //	magic "PODM" | version 2 | tagBucketsCRC | payload CRC32C (uint32 LE)
 //	varint nProps
@@ -31,11 +31,13 @@ import (
 //	  varint pid | varint nBuckets
 //	  per bucket: lo float64 bits (LE) | hi float64 bits (LE) | closedHi byte
 //
-// The CRC32C covers everything after itself. Sidecars written before the
+// The CRC32C covers everything after itself. Sections written before the
 // checksum existed carry tagBuckets (3) with no CRC word and load without
-// verification; a tagBucketsCRC sidecar whose payload fails the check
-// returns ErrChecksum, and the mutable server falls back to deriving cuts
-// from the replayed log rather than failing startup.
+// verification; a tagBucketsCRC section whose payload fails the check
+// returns ErrChecksum. Before the log held the cuts they lived in a sidecar
+// file beside it (ReadBucketsFile); a mutable server reads that file once,
+// to migrate a log with no boundaries record, and fails start-up on one
+// that does not decode.
 //
 // PropertyIDs are stable across a log replay (the catalog interns labels in
 // log order), so the map keys survive the restart they exist for.
@@ -138,7 +140,7 @@ func ReadBuckets(data []byte) (map[profile.PropertyID][]bucketing.Bucket, error)
 		if err != nil {
 			return nil, err
 		}
-		if 17*nb > uint64(len(rest)) {
+		if nb > uint64(len(rest))/17 {
 			return nil, fmt.Errorf("codec: property %d declares %d buckets, %d bytes remain", pid, nb, len(rest))
 		}
 		bs := make([]bucketing.Bucket, nb)
@@ -160,13 +162,7 @@ func ReadBuckets(data []byte) (map[profile.PropertyID][]bucketing.Bucket, error)
 	return out, nil
 }
 
-// WriteBucketsFile writes the boundaries to path atomically, like
-// WriteImageFile.
-func WriteBucketsFile(path string, buckets map[profile.PropertyID][]bucketing.Bucket) error {
-	return durable.WriteFile(path, func(w io.Writer) error { return WriteBuckets(w, buckets) })
-}
-
-// ReadBucketsFile loads persisted bucket boundaries.
+// ReadBucketsFile loads bucket boundaries from a sidecar file.
 func ReadBucketsFile(path string) (map[profile.PropertyID][]bucketing.Bucket, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

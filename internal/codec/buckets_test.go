@@ -2,7 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -56,10 +59,16 @@ func TestBucketsRoundTripEmpty(t *testing.T) {
 	}
 }
 
+// ReadBucketsFile reads a sidecar file, the one a mutable server migrates
+// into a log with no boundaries record.
 func TestBucketsFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "live.plog.buckets")
 	want := sampleBuckets()
-	if err := WriteBucketsFile(path, want); err != nil {
+	var buf bytes.Buffer
+	if err := WriteBuckets(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadBucketsFile(path)
@@ -124,5 +133,29 @@ func TestBucketsChecksumDetectsCorruption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy round trip:\n got %v\nwant %v", got, want)
+	}
+}
+
+// frameBuckets wraps payload in a valid buckets section header: the CRC32C
+// word of tagBucketsCRC, or none under the legacy tagBuckets.
+func frameBuckets(payload []byte, legacy bool) []byte {
+	if legacy {
+		return append(append([]byte(magic), imageVersion, tagBuckets), payload...)
+	}
+	out := append([]byte(magic), imageVersion, tagBucketsCRC)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// A bucket count whose 17-byte buckets overflow uint64 is refused, not
+// allocated: 17 × 1085102592571150096 wraps to 16, which the 17 bytes that
+// follow would satisfy.
+func TestBucketsRejectsOverflowingCount(t *testing.T) {
+	payload := binary.AppendUvarint([]byte{1, 0}, 1085102592571150096)
+	payload = append(payload, make([]byte, 17)...)
+	for _, legacy := range []bool{false, true} {
+		if got, err := ReadBuckets(frameBuckets(payload, legacy)); err == nil {
+			t.Fatalf("legacy=%v: decoded %d properties from an overflowing bucket count", legacy, len(got))
+		}
 	}
 }

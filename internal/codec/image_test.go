@@ -168,3 +168,45 @@ func TestImageLegacyWithoutTrailerStillLoads(t *testing.T) {
 	}
 	assertRepoEqual(t, repo, back)
 }
+
+// TestImageCrashStates builds by hand the files a crash inside
+// WriteImageFile leaves: its temp file cut at several points, or complete,
+// beside the intact image. In each, ReadImageFile must return the old
+// repository, and a WriteImageFile after it must succeed and read back the
+// new one.
+func TestImageCrashStates(t *testing.T) {
+	old := profile.PaperExample()
+	old.Seal()
+	next := profile.PaperExample()
+	next.MustSetScore(next.AddUser("late"), "livesIn Tokyo", 1)
+	next.Seal()
+	var full bytes.Buffer
+	if err := WriteRepositoryImage(&full, next); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "repo.img")
+	for _, cut := range []int{0, 3, full.Len() / 2, full.Len() - 1, full.Len()} {
+		if err := WriteImageFile(path, old); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".tmp", full.Bytes()[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadImageFile(path)
+		if err != nil {
+			t.Fatalf("tmp cut at %d: %v", cut, err)
+		}
+		assertRepoEqual(t, old, back)
+		if err := WriteImageFile(path, next); err != nil {
+			t.Fatalf("tmp cut at %d: rewrite: %v", cut, err)
+		}
+		back, err = ReadImageFile(path)
+		if err != nil {
+			t.Fatalf("tmp cut at %d: %v", cut, err)
+		}
+		assertRepoEqual(t, next, back)
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("tmp cut at %d: temp file left behind: %v", cut, err)
+		}
+	}
+}

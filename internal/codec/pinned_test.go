@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -35,9 +36,10 @@ func checkPin(t *testing.T, name string, data []byte) {
 	t.Fatalf("%s: no pin (sha256 %s)", name, got)
 }
 
-// TestPinnedFileBytes pins the image and the bucket sidecar that the file
-// writers produce for the ScaleLike(200) repository and its K=3 index, and
-// requires each file to load back to what was written.
+// TestPinnedFileBytes pins the image file and the buckets section (the
+// repository log's boundaries payload) written for the ScaleLike(200)
+// repository and its K=3 index, and requires each to load back to what was
+// written.
 func TestPinnedFileBytes(t *testing.T) {
 	repo := synth.Generate(synth.ScaleLike(200)).Repo
 	repo.Seal()
@@ -59,19 +61,16 @@ func TestPinnedFileBytes(t *testing.T) {
 	assertRepoEqual(t, repo, back)
 
 	bounds := groups.Build(repo, groups.Config{K: 3}).BucketBoundaries()
-	side := filepath.Join(dir, "repo.buckets")
-	if err := WriteBucketsFile(side, bounds); err != nil {
+	var section bytes.Buffer
+	if err := WriteBuckets(&section, bounds); err != nil {
 		t.Fatal(err)
 	}
-	if data, err = os.ReadFile(side); err != nil {
-		t.Fatal(err)
-	}
-	checkPin(t, "buckets", data)
-	got, err := ReadBucketsFile(side)
+	checkPin(t, "buckets", section.Bytes())
+	got, err := ReadBuckets(section.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, bounds) {
-		t.Fatal("pinned sidecar loads different boundaries")
+		t.Fatal("pinned buckets section loads different boundaries")
 	}
 }

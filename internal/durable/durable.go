@@ -2,8 +2,8 @@
 // persistent files share, so each is written, fsynced and crash-tested in one
 // place:
 //
-//   - WriteFile replaces a whole file atomically. The snapshot image, the
-//     bucket sidecar and journal compaction go through it.
+//   - WriteFile replaces a whole file atomically. The snapshot image and
+//     journal compaction go through it.
 //   - Journal is an append-only file of checksummed records. The repository
 //     log (internal/repolog) and the campaign WAL (internal/campaign) are
 //     journals that differ only in their magic, their record cap and what
@@ -255,13 +255,21 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Replace rewrites the journal as its header and one record, through
-// WriteFile — compaction. Staged records are synced to the old file first,
-// so a crash at any point leaves the old journal complete or the new one in
-// its place. Appends continue on the new file.
-func (j *Journal) Replace(kind byte, payload []byte) error {
-	if err := j.checkLen(payload); err != nil {
-		return err
+// Record is one journal record: its kind and its payload.
+type Record struct {
+	Kind    byte
+	Payload []byte
+}
+
+// Replace rewrites the journal as its header and recs, through WriteFile —
+// compaction. Staged records are synced to the old file first, so a crash at
+// any point leaves the old journal complete or the new one in its place.
+// Appends continue on the new file.
+func (j *Journal) Replace(recs ...Record) error {
+	for _, r := range recs {
+		if err := j.checkLen(r.Payload); err != nil {
+			return err
+		}
 	}
 	if err := j.Sync(); err != nil {
 		return err
@@ -270,7 +278,12 @@ func (j *Journal) Replace(kind byte, payload []byte) error {
 		if _, err := w.Write(j.header); err != nil {
 			return fmt.Errorf("durable: %w", err)
 		}
-		return writeRecord(w, kind, payload)
+		for _, r := range recs {
+			if err := writeRecord(w, r.Kind, r.Payload); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err

@@ -164,7 +164,7 @@ func TestAppendRefusesOversizedRecord(t *testing.T) {
 	if err := j.Append(1, make([]byte, testMax+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
-	if err := j.Replace(1, make([]byte, testMax+1)); err == nil {
+	if err := j.Replace(Record{1, nil}, Record{2, make([]byte, testMax+1)}); err == nil {
 		t.Fatal("oversized replacement accepted")
 	}
 	if err := j.Append(1, make([]byte, testMax)); err != nil {

@@ -94,7 +94,7 @@ type Config struct {
 	// FixedBuckets pins β(p) for the listed properties instead of re-deriving
 	// cuts from the score distribution. Two callers rely on this: a mutable
 	// server restart rebuilds its index from the boundaries the live index
-	// actually used (persisted alongside the repository log), and the shard
+	// actually used (the repository log's boundaries records), and the shard
 	// partitioner buckets every shard with the global partition so shard
 	// groups mirror global groups. Properties absent from the map fall back
 	// to Method as usual.

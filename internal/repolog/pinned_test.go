@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"podium/internal/bucketing"
 	"podium/internal/codec"
 	"podium/internal/profile"
 	"podium/internal/synth"
@@ -37,8 +39,8 @@ func checkPin(t *testing.T, name string, data []byte) {
 }
 
 // assertReplays opens a copy of data as a log and requires it to replay,
-// with nothing recovered, to exactly want's binary encoding.
-func assertReplays(t *testing.T, data []byte, want *profile.Repository) {
+// with nothing recovered, to exactly want's binary encoding and cuts.
+func assertReplays(t *testing.T, data []byte, want *profile.Repository, cuts map[profile.PropertyID][]bucketing.Bucket) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "copy.plog")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -61,6 +63,9 @@ func assertReplays(t *testing.T, data []byte, want *profile.Repository) {
 	}
 	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
 		t.Fatal("pinned log replays to a different repository")
+	}
+	if !sameCuts(l.Buckets(), cuts) {
+		t.Fatalf("pinned log replays to cuts %v, want %v", l.Buckets(), cuts)
 	}
 }
 
@@ -107,7 +112,7 @@ func TestPinnedLogBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPin(t, "log-synced", synced)
-	assertReplays(t, synced, want)
+	assertReplays(t, synced, want, nil)
 
 	scale := synth.Generate(synth.ScaleLike(200)).Repo
 	if err := l.CompactWith(scale); err != nil {
@@ -125,5 +130,69 @@ func TestPinnedLogBytes(t *testing.T) {
 	}
 	checkPin(t, "log-compacted", compacted)
 	scale.AddUser("Carol")
-	assertReplays(t, compacted, scale)
+	assertReplays(t, compacted, scale, nil)
+}
+
+// TestPinnedBucketsLogBytes pins a log holding boundaries records — a synced
+// batch with the cuts of its properties, then a batch whose record adds one
+// property and replaces another's cuts — and the same log compacted to a
+// snapshot and one boundaries record, and requires each file to replay to
+// the repository and the cuts that wrote it.
+func TestPinnedBucketsLogBytes(t *testing.T) {
+	l, path := openTemp(t)
+	want := profile.NewRepository()
+	cuts := map[profile.PropertyID][]bucketing.Bucket{}
+	type score struct {
+		label string
+		value float64
+	}
+	batches := []struct {
+		user   string
+		scores []score
+		cuts   map[profile.PropertyID][]bucketing.Bucket
+	}{
+		{"Alice", []score{{"livesIn Tokyo", 1}, {"avgRating Mexican", 0.95}}, sampleCuts(0.95)},
+		{"Bob", []score{{"avgRating Mexican", 0.3}, {"visited Lima", 0}}, map[profile.PropertyID][]bucketing.Bucket{
+			1: {{Lo: 0.3, Hi: 0.6}, {Lo: 0.6, Hi: 0.95, ClosedHi: true}},
+			2: {{Lo: 0, Hi: 0, ClosedHi: true}},
+		}},
+	}
+	for _, b := range batches {
+		u := want.AddUser(b.user)
+		if err := l.AppendAddUser(b.user); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range b.scores {
+			want.MustSetScore(u, s.label, s.value)
+			if err := l.AppendSetScore(u, s.label, s.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		maps.Copy(cuts, b.cuts)
+		if err := l.AppendBuckets(b.cuts); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	synced, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPin(t, "log-buckets", synced)
+	assertReplays(t, synced, want, cuts)
+
+	if err := l.CompactWith(want.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPin(t, "log-buckets-compacted", compacted)
+	assertReplays(t, compacted, want, cuts)
 }

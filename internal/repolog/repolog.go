@@ -7,10 +7,14 @@
 // selection run opens the log and replays it into an in-memory repository.
 //
 // The log is a durable.Journal with magic "PLOG", version 1 and records of
-// at most 1 GiB. Record kinds: snapshot (a full repository in the
-// internal/codec binary format), add-user, set-score. A torn or corrupted
-// tail — the signature of a crash mid-append — is truncated and reported;
-// everything before it is recovered.
+// at most 1 GiB. Record kinds: snapshot (1, a full repository in the
+// internal/codec binary format), add-user (2), set-score (3) and boundaries
+// (4, bucket cuts β(p) in the codec.WriteBuckets format). Boundaries records
+// make the log the one durable state a mutable server restarts from: the
+// cuts its live index assigned scores with commit in the batch whose
+// mutations derived them, and a restart pins the rebuilt index to them. A
+// torn or corrupted tail — the signature of a crash mid-append — is
+// truncated and reported; everything before it is recovered.
 package repolog
 
 import (
@@ -18,8 +22,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 
+	"podium/internal/bucketing"
 	"podium/internal/codec"
 	"podium/internal/durable"
 	"podium/internal/profile"
@@ -32,6 +38,7 @@ const (
 	recSnapshot byte = 1
 	recAddUser  byte = 2
 	recSetScore byte = 3
+	recBuckets  byte = 4
 
 	// maxRecordLen bounds a single record; snapshots of huge repositories
 	// dominate, so this is generous.
@@ -45,13 +52,8 @@ type Log struct {
 	path string
 	j    *durable.Journal
 	repo *profile.Repository
-	// appended counts mutation records since the last snapshot, for
-	// compaction heuristics.
-	appended int
-	// detached is set once an Append* method is used: the caller owns the
-	// authoritative repository and l.repo is no longer maintained, so
-	// Compact (which snapshots l.repo) must be replaced by CompactWith.
-	detached bool
+	// buckets folds every boundaries record, replayed or staged.
+	buckets map[profile.PropertyID][]bucketing.Bucket
 	// Recovered reports how many trailing bytes were discarded as a torn
 	// tail during Open.
 	Recovered int64
@@ -60,7 +62,7 @@ type Log struct {
 // Open opens (or creates) the log at path and replays it into memory. A new
 // log's header is fsynced, with its directory, before Open returns.
 func Open(path string) (*Log, error) {
-	l := &Log{path: path, repo: profile.NewRepository()}
+	l := &Log{path: path, repo: profile.NewRepository(), buckets: map[profile.PropertyID][]bucketing.Bucket{}}
 	j, err := durable.Open(path, logMagic, logVersion, maxRecordLen, l.apply)
 	if err != nil {
 		return nil, err
@@ -105,6 +107,13 @@ func (l *Log) apply(kind byte, payload []byte) error {
 			return fmt.Errorf("repolog: %w", err)
 		}
 		return nil
+	case recBuckets:
+		cuts, err := codec.ReadBuckets(payload)
+		if err != nil {
+			return fmt.Errorf("repolog: boundaries: %w", err)
+		}
+		maps.Copy(l.buckets, cuts)
+		return nil
 	}
 	return fmt.Errorf("repolog: unknown record kind %d", kind)
 }
@@ -113,9 +122,11 @@ func (l *Log) apply(kind byte, payload []byte) error {
 // log; callers mutate it only through AddUser/SetScore.
 func (l *Log) Repository() *profile.Repository { return l.repo }
 
-// Appended reports the number of mutation records since the last snapshot —
-// the input to a caller's compaction policy.
-func (l *Log) Appended() int { return l.appended }
+// Buckets returns the bucket cuts β(p) the log holds: every boundaries
+// record, replayed or staged, folded in log order, so a later record's cuts
+// for a property replace an earlier one's. The map is the log's own and
+// grows as AppendBuckets stages records; a caller that keeps it copies it.
+func (l *Log) Buckets() map[profile.PropertyID][]bucketing.Bucket { return l.buckets }
 
 // AddUser stages an add-user record, applies it to the replayed repository
 // and returns the user's ID. The record becomes durable at the next Sync or
@@ -126,7 +137,6 @@ func (l *Log) AddUser(name string) (profile.UserID, error) {
 	if err := l.j.Append(recAddUser, payload.Bytes()); err != nil {
 		return 0, err
 	}
-	l.appended++
 	return l.repo.AddUser(name), nil
 }
 
@@ -143,7 +153,6 @@ func (l *Log) SetScore(u profile.UserID, label string, score float64) error {
 	if err := l.j.Append(recSetScore, encodeSetScore(u, label, score)); err != nil {
 		return err
 	}
-	l.appended++
 	return l.repo.SetScore(u, label, score)
 }
 
@@ -152,17 +161,10 @@ func (l *Log) SetScore(u profile.UserID, label string, score float64) error {
 // maintain their own authoritative repository view (the snapshot server's
 // single-writer apply loop). The record becomes durable at the next Sync;
 // staging a whole mutation batch and syncing once amortizes the fsync.
-// After the first Append* call the log is detached: use CompactWith, not
-// Compact.
 func (l *Log) AppendAddUser(name string) error {
 	var payload bytes.Buffer
 	encodeString(&payload, name)
-	if err := l.j.Append(recAddUser, payload.Bytes()); err != nil {
-		return err
-	}
-	l.appended++
-	l.detached = true
-	return nil
+	return l.j.Append(recAddUser, payload.Bytes())
 }
 
 // AppendSetScore stages a set-score record without applying it to the
@@ -176,12 +178,26 @@ func (l *Log) AppendSetScore(u profile.UserID, label string, score float64) erro
 	if int(u) < 0 {
 		return fmt.Errorf("repolog: negative user %d", u)
 	}
-	if err := l.j.Append(recSetScore, encodeSetScore(u, label, score)); err != nil {
+	return l.j.Append(recSetScore, encodeSetScore(u, label, score))
+}
+
+// AppendBuckets stages one boundaries record holding cuts and folds them
+// into Buckets. Like the mutation records it becomes durable at the next
+// Sync, so a caller stages it in the batch whose mutations derived the cuts.
+func (l *Log) AppendBuckets(cuts map[profile.PropertyID][]bucketing.Bucket) error {
+	if err := l.j.Append(recBuckets, encodeBuckets(cuts)); err != nil {
 		return err
 	}
-	l.appended++
-	l.detached = true
+	maps.Copy(l.buckets, cuts)
 	return nil
+}
+
+// encodeBuckets builds the boundaries record payload; writing to a
+// bytes.Buffer cannot fail.
+func encodeBuckets(cuts map[profile.PropertyID][]bucketing.Bucket) []byte {
+	var payload bytes.Buffer
+	codec.WriteBuckets(&payload, cuts)
+	return payload.Bytes()
 }
 
 // encodeSetScore builds the set-score record payload.
@@ -199,33 +215,22 @@ func encodeSetScore(u profile.UserID, label string, score float64) []byte {
 // Sync flushes staged records and fsyncs the file.
 func (l *Log) Sync() error { return l.j.Sync() }
 
-// Compact rewrites the log as a single snapshot record, atomically, and
-// appends continue on the new file. It snapshots the log's replayed
-// repository, so it refuses to run once the append-only API has detached
-// that repository from the true state — use CompactWith with the
-// authoritative repository instead.
-func (l *Log) Compact() error {
-	if l.detached {
-		return fmt.Errorf("repolog: log has append-only records; use CompactWith")
-	}
-	return l.CompactWith(l.repo)
-}
-
-// CompactWith rewrites the log as a single snapshot of repo — the caller's
-// authoritative current state, for users of the append-only API. The given
-// repository becomes the log's replayed repository.
+// CompactWith rewrites the log, atomically, as a snapshot of repo — the
+// caller's authoritative current state — followed by one boundaries record
+// holding Buckets when the log holds any cuts. Appends continue on the new
+// file, and the given repository becomes the log's replayed repository. A
+// log written through AddUser/SetScore compacts with CompactWith(Repository()).
 func (l *Log) CompactWith(repo *profile.Repository) error {
 	l.repo = repo
 	var snap bytes.Buffer
 	if err := codec.WriteRepository(&snap, repo); err != nil {
 		return fmt.Errorf("repolog: snapshot: %w", err)
 	}
-	if err := l.j.Replace(recSnapshot, snap.Bytes()); err != nil {
-		return err
+	recs := []durable.Record{{Kind: recSnapshot, Payload: snap.Bytes()}}
+	if len(l.buckets) > 0 {
+		recs = append(recs, durable.Record{Kind: recBuckets, Payload: encodeBuckets(l.buckets)})
 	}
-	l.appended = 0
-	l.detached = false
-	return nil
+	return l.j.Replace(recs...)
 }
 
 // Close syncs and closes the log.

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
+	"podium/internal/bucketing"
 	"podium/internal/codec"
 	"podium/internal/profile"
 )
@@ -198,6 +201,21 @@ func TestCorruptTailStopsReplay(t *testing.T) {
 	}
 }
 
+// sampleCuts returns bucket cuts for properties 0 and 1, with the upper
+// bound of property 1's last bucket at hi.
+func sampleCuts(hi float64) map[profile.PropertyID][]bucketing.Bucket {
+	return map[profile.PropertyID][]bucketing.Bucket{
+		0: {{Lo: 0, Hi: 0.5}, {Lo: 0.5, Hi: 1, ClosedHi: true}},
+		1: {{Lo: 0.25, Hi: hi, ClosedHi: true}},
+	}
+}
+
+func sameCuts(a, b map[profile.PropertyID][]bucketing.Bucket) bool {
+	return maps.EqualFunc(a, b, slices.Equal)
+}
+
+// Compaction keeps the repository and the cuts the log holds, and the log
+// stays appendable.
 func TestCompact(t *testing.T) {
 	l, path := openTemp(t)
 	for i := 0; i < 20; i++ {
@@ -205,19 +223,20 @@ func TestCompact(t *testing.T) {
 		l.SetScore(u, "p", 0.5)
 		l.SetScore(u, "q", 0.25)
 	}
+	cuts := sampleCuts(0.25)
+	if err := l.AppendBuckets(cuts); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := os.Stat(path)
-	if err := l.Compact(); err != nil {
+	if err := l.CompactWith(l.Repository()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := os.Stat(path)
 	if after.Size() >= before.Size() {
 		t.Fatalf("compaction grew the log: %d -> %d", before.Size(), after.Size())
-	}
-	if l.Appended() != 0 {
-		t.Fatalf("appended counter = %d after compaction", l.Appended())
 	}
 	// The log remains appendable after compaction, and everything survives
 	// a reopen.
@@ -240,6 +259,9 @@ func TestCompact(t *testing.T) {
 	if s, _ := back.Repository().Profile(20).Score(id); s != 1 {
 		t.Fatalf("post-compaction score = %v", s)
 	}
+	if !sameCuts(back.Buckets(), cuts) {
+		t.Fatalf("cuts after compaction+reopen = %v, want %v", back.Buckets(), cuts)
+	}
 }
 
 func TestOpenRejectsForeignFile(t *testing.T) {
@@ -249,19 +271,6 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil {
 		t.Fatal("foreign file accepted")
-	}
-}
-
-func TestAppendedCounter(t *testing.T) {
-	l, _ := openTemp(t)
-	defer l.Close()
-	if l.Appended() != 0 {
-		t.Fatal("fresh counter non-zero")
-	}
-	u, _ := l.AddUser("A")
-	l.SetScore(u, "p", 0.5)
-	if l.Appended() != 2 {
-		t.Fatalf("appended = %d, want 2", l.Appended())
 	}
 }
 
@@ -295,9 +304,6 @@ func TestDetachedAppendAndReplay(t *testing.T) {
 	if l.Repository().NumUsers() != 0 {
 		t.Fatalf("detached append mutated the replayed repository: %d users", l.Repository().NumUsers())
 	}
-	if l.Appended() != 4 {
-		t.Fatalf("appended = %d, want 4", l.Appended())
-	}
 	// ...but replay reconstructs the authoritative state.
 	back := reopen(t, l, path)
 	defer back.Close()
@@ -310,62 +316,36 @@ func TestDetachedAppendAndReplay(t *testing.T) {
 	}
 }
 
+// Rejected appends reach no byte of the file.
 func TestDetachedAppendValidation(t *testing.T) {
-	l, _ := openTemp(t)
-	defer l.Close()
+	l, path := openTemp(t)
 	if err := l.AppendSetScore(0, "p", 1.5); err == nil {
 		t.Fatal("out-of-range score accepted")
 	}
 	if err := l.AppendSetScore(-1, "p", 0.5); err == nil {
 		t.Fatal("negative user accepted")
 	}
-	if l.Appended() != 0 {
-		t.Fatalf("rejected appends counted: %d", l.Appended())
-	}
-}
-
-// Compact refuses to run once detached (it would snapshot the stale replayed
-// repository); CompactWith snapshots the caller's repository instead.
-func TestCompactDetachedRequiresCompactWith(t *testing.T) {
-	l, path := openTemp(t)
-	repo := profile.NewRepository()
-	u := repo.AddUser("Alice")
-	if err := l.AppendAddUser("Alice"); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	repo.MustSetScore(u, "p", 0.9)
-	if err := l.AppendSetScore(u, "p", 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Compact(); err == nil {
-		t.Fatal("Compact succeeded on a detached log")
-	}
-	if err := l.CompactWith(repo); err != nil {
-		t.Fatal(err)
-	}
-	if l.Appended() != 0 {
-		t.Fatalf("appended after compaction = %d", l.Appended())
-	}
-	// Plain Compact works again once reattached.
-	if err := l.Compact(); err != nil {
-		t.Fatalf("Compact after CompactWith: %v", err)
-	}
-	back := reopen(t, l, path)
-	defer back.Close()
-	pid, _ := back.Repository().Catalog().Lookup("p")
-	if s, _ := back.Repository().Profile(u).Score(pid); s != 0.9 {
-		t.Fatalf("score after compaction = %v, want 0.9", s)
+	if data, err := os.ReadFile(path); err != nil || string(data) != logMagic+"\x01" {
+		t.Fatalf("log after rejected appends = %q, %v; want the header alone", data, err)
 	}
 }
 
 // TestCrashAtEverySync copies the log after every fsync — the file a crash
 // right after it would leave — and requires each copy to replay exactly the
-// mutations synced so far: staged batches with a Sync after each, and a
-// compaction between them.
+// mutations and the bucket cuts synced so far: staged batches with a Sync
+// after each, some of them staging boundaries records (one replacing an
+// earlier record's cuts), and a compaction between them.
 func TestCrashAtEverySync(t *testing.T) {
 	l, path := openTemp(t)
 	want := profile.NewRepository()
-	type crash struct{ file, state []byte }
+	wantCuts := map[profile.PropertyID][]bucketing.Bucket{}
+	type crash struct {
+		file, state []byte
+		cuts        map[profile.PropertyID][]bucketing.Bucket
+	}
 	var crashes []crash
 	snapshot := func() {
 		t.Helper()
@@ -377,7 +357,7 @@ func TestCrashAtEverySync(t *testing.T) {
 		if err := codec.WriteRepository(&state, want); err != nil {
 			t.Fatal(err)
 		}
-		crashes = append(crashes, crash{file, state.Bytes()})
+		crashes = append(crashes, crash{file, state.Bytes(), maps.Clone(wantCuts)})
 	}
 	snapshot() // Open fsynced the new log's header
 	for batch := 0; batch < 12; batch++ {
@@ -395,6 +375,21 @@ func TestCrashAtEverySync(t *testing.T) {
 			want.MustSetScore(u, label, score)
 			if err := l.AppendSetScore(u, label, score); err != nil {
 				t.Fatal(err)
+			}
+		}
+		if batch%3 == 2 {
+			// Cuts for every property seen so far: the first record covers
+			// new properties, later ones replace earlier cuts too.
+			cuts := map[profile.PropertyID][]bucketing.Bucket{}
+			for p := 0; p < want.NumProperties(); p++ {
+				cuts[profile.PropertyID(p)] = []bucketing.Bucket{{Lo: 0, Hi: float64(batch) / 12, ClosedHi: true}}
+			}
+			maps.Copy(wantCuts, cuts)
+			if err := l.AppendBuckets(cuts); err != nil {
+				t.Fatal(err)
+			}
+			if !sameCuts(l.Buckets(), wantCuts) {
+				t.Fatalf("batch %d: staged cuts %v, want %v", batch, l.Buckets(), wantCuts)
 			}
 		}
 		if err := l.Sync(); err != nil {
@@ -428,6 +423,9 @@ func TestCrashAtEverySync(t *testing.T) {
 		back.Close()
 		if back.Recovered != 0 || !bytes.Equal(got.Bytes(), c.state) {
 			t.Fatalf("crash %d: replay (recovered %d) differs from the mutations synced so far", i, back.Recovered)
+		}
+		if !sameCuts(back.Buckets(), c.cuts) {
+			t.Fatalf("crash %d: replayed cuts %v, want the %d synced so far", i, back.Buckets(), len(c.cuts))
 		}
 	}
 }
@@ -468,5 +466,84 @@ func TestTornHugeLengthAllocatesNothing(t *testing.T) {
 	}
 	if back.Recovered != int64(len(tail)) || back.Repository().NumUsers() != 1 {
 		t.Fatalf("recovered %d bytes and %d users, want %d and 1", back.Recovered, back.Repository().NumUsers(), len(tail))
+	}
+}
+
+// TestCompactCrashStates builds by hand the files a crash inside compaction
+// leaves: its temp file cut at several points, or complete, beside the
+// intact log. In each, Open must replay the old log, and a CompactWith after
+// it must succeed and reopen to the compacted state.
+func TestCompactCrashStates(t *testing.T) {
+	encode := func(repo *profile.Repository) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := codec.WriteRepository(&buf, repo); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	l, path := openTemp(t)
+	for i := 0; i < 5; i++ {
+		u, _ := l.AddUser(fmt.Sprintf("u%d", i))
+		l.SetScore(u, "p", float64(i)/4)
+	}
+	cuts := sampleCuts(1)
+	if err := l.AppendBuckets(cuts); err != nil {
+		t.Fatal(err)
+	}
+	oldRepo := encode(l.Repository())
+	next := l.Repository().Clone()
+	next.AddUser("late")
+	newRepo := encode(next)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The temp file a finished compaction renames: the same log compacted
+	// elsewhere.
+	elsewhere := filepath.Join(t.TempDir(), "repo.plog")
+	if err := os.WriteFile(elsewhere, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(elsewhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CompactWith(next.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	full, err := os.ReadFile(elsewhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{0, 3, len(logMagic) + 1, len(full) / 2, len(full) - 1, len(full)} {
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+".tmp", full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Open(path)
+		if err != nil {
+			t.Fatalf("tmp cut at %d: %v", cut, err)
+		}
+		if back.Recovered != 0 || !bytes.Equal(encode(back.Repository()), oldRepo) || !sameCuts(back.Buckets(), cuts) {
+			t.Fatalf("tmp cut at %d: Open did not replay the old log (recovered %d)", cut, back.Recovered)
+		}
+		if err := back.CompactWith(next.Clone()); err != nil {
+			t.Fatalf("tmp cut at %d: compaction: %v", cut, err)
+		}
+		again := reopen(t, back, path)
+		if !bytes.Equal(encode(again.Repository()), newRepo) || !sameCuts(again.Buckets(), cuts) {
+			t.Fatalf("tmp cut at %d: compacted log replays another state", cut)
+		}
+		again.Close()
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("tmp cut at %d: temp file left behind: %v", cut, err)
+		}
 	}
 }

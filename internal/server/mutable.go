@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"sort"
@@ -28,6 +29,8 @@ import (
 // of the current epoch through the incremental index path, and publishes the
 // result as the next snapshot. Group IDs remain stable for clients holding
 // feedback, and a reader admitted mid-batch simply serves the previous epoch.
+// The log is the server's only durable state: the bucket cuts β(p) commit in
+// it with the batch that derived them, and a restart pins its index to them.
 type MutableServer struct {
 	*Server
 	log  *repolog.Log
@@ -50,10 +53,21 @@ type MutableServer struct {
 	mutations atomic.Uint64
 	shed      atomic.Uint64
 
+	// failed is the log error that stopped the writer, owned by the apply
+	// loop. Once a batch's Sync fails, the batch's records may be in the file
+	// or still buffered, and any later Sync would commit them under later
+	// acknowledgements; so the writer publishes nothing more and refuses
+	// every later mutation, while reads keep serving.
+	failed error
+
 	// beforeApply, when set (tests only, before any dispatch), runs at the top
 	// of every batch application — the hook overload tests use to hold the
 	// writer still while they fill the queue.
 	beforeApply func()
+	// afterSync, when set (tests only, before any dispatch), runs after each
+	// batch's log Sync returns; an error it returns is handled as that Sync's
+	// failure, with the batch's records already in the file.
+	afterSync func() error
 }
 
 // MutableOptions tunes the writer's batching and admission policy.
@@ -74,16 +88,6 @@ type MutableOptions struct {
 	// RetryAfter is the backoff advertised on shed requests (default 1s;
 	// rounded up to whole seconds for the Retry-After header).
 	RetryAfter time.Duration
-	// BucketImage is the path of the bucket-boundary sidecar: a format-v2
-	// image section holding every β(p) the live index assigns scores with.
-	// On open, an existing sidecar pins the rebuilt index's partitions to
-	// the boundaries the previous process used (restart determinism: a
-	// rebuild that re-ran KMeans over the final score distribution could
-	// derive different cuts — and different selections — than the live
-	// incrementally-bucketed index that wrote the log). The writer refreshes
-	// the sidecar whenever a batch buckets a new property. Empty selects
-	// logPath + ".buckets"; "-" disables persistence.
-	BucketImage string
 }
 
 // NewMutable builds a server over the repository log at path, creating it if
@@ -111,28 +115,28 @@ func NewMutableOpts(name, logPath string, cfg groups.Config, configs []NamedConf
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
-	if opts.BucketImage == "" {
-		opts.BucketImage = logPath + ".buckets"
-	}
-	if opts.BucketImage != "-" {
-		switch persisted, err := codec.ReadBucketsFile(opts.BucketImage); {
-		case err == nil:
-			// Pin the rebuilt index to the boundaries the live index used.
-			// The replayed catalog interns labels in log order, so the
-			// persisted PropertyIDs address the same properties.
-			cfg.FixedBuckets = persisted
+	cuts := l.Buckets()
+	if len(cuts) == 0 {
+		// A log with no boundaries record migrates the sidecar file where
+		// β(p) lived before the log held it: the first batch commits its cuts
+		// into the log, and the file is never read again. A sidecar that
+		// does not decode fails start-up rather than serving other groups.
+		sidecar := logPath + ".buckets"
+		switch cuts, err = codec.ReadBucketsFile(sidecar); {
 		case errors.Is(err, os.ErrNotExist):
-			// First boot (or a pre-sidecar log): Build derives cuts below and
-			// the sidecar is written for every restart after this one.
-		default:
-			// A corrupt or unreadable sidecar must not fail startup: the log
-			// itself is intact, so Build re-derives cuts from the replayed
-			// score distribution. Those cuts may differ from the live index
-			// that wrote the sidecar — group memberships can shift — so the
-			// degradation is warned loudly, and persistBuckets below replaces
-			// the damaged file with a fresh one.
-			log.Printf("server: bucket sidecar %s: %v — falling back to cuts derived from log replay", opts.BucketImage, err)
+		case err != nil:
+			l.Close()
+			return nil, fmt.Errorf("server: bucket sidecar %s: %w (deleting it re-derives the cuts from the repository log)", sidecar, err)
 		}
+	}
+	if len(cuts) > 0 {
+		// Pin the rebuilt index to the cuts the live index used: a rebuild
+		// that re-ran the splitting method over the replayed scores could
+		// derive other cuts, other groups and other panels. The replayed
+		// catalog interns labels in log order, so the PropertyIDs address the
+		// same properties. Build gets a copy, since the log's map grows as
+		// batches stage records.
+		cfg.FixedBuckets = maps.Clone(cuts)
 	}
 	ms := &MutableServer{
 		Server: New(name, l.Repository(), cfg, configs),
@@ -143,7 +147,6 @@ func NewMutableOpts(name, logPath string, cfg groups.Config, configs []NamedConf
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	ms.persistBuckets(ms.Snapshot().Index())
 	post := func(h http.HandlerFunc) map[string]http.HandlerFunc {
 		return map[string]http.HandlerFunc{http.MethodPost: h}
 	}
@@ -153,17 +156,21 @@ func NewMutableOpts(name, logPath string, cfg groups.Config, configs []NamedConf
 	return ms, nil
 }
 
-// persistBuckets refreshes the bucket-boundary sidecar from ix. Called at
-// startup and from the single writer after a batch that bucketed a new
-// property, so it never races itself. A write failure is logged, not fatal:
-// the log stays durable and the next boundary change retries.
-func (ms *MutableServer) persistBuckets(ix *groups.Index) {
-	if ms.opts.BucketImage == "-" {
-		return
+// stageBuckets stages one boundaries record holding every property ix
+// buckets and the log holds no cuts for: all of them in the first batch
+// after a boot that derived cuts, and after that each batch's first-sight
+// properties. The log only holds cuts of properties the index buckets, so
+// equal counts mean there is nothing to stage.
+func (ms *MutableServer) stageBuckets(ix *groups.Index) error {
+	logged := ms.log.Buckets()
+	if ix.NumBucketedProperties() == len(logged) {
+		return nil
 	}
-	if err := codec.WriteBucketsFile(ms.opts.BucketImage, ix.BucketBoundaries()); err != nil {
-		log.Printf("server: persisting bucket boundaries: %v", err)
+	cuts := ix.BucketBoundaries()
+	for p := range logged {
+		delete(cuts, p)
 	}
+	return ms.log.AppendBuckets(cuts)
 }
 
 // Close stops the apply loop (after it drains queued mutations), then flushes
@@ -303,15 +310,22 @@ func (ms *MutableServer) collectBatch(first *pendingMut) []*pendingMut {
 }
 
 // applyBatch stages the batch in the log, applies it to a private clone of
-// the current epoch, syncs once, publishes the next epoch, and replies to
-// every waiter. Mutations see their predecessors within the batch (a score
-// update may target a user added moments before), so the published state is
-// identical to applying the same sequence one at a time.
+// the current epoch, stages the cuts of its first-sight properties, syncs
+// once, publishes the next epoch, and replies to every waiter. Mutations see
+// their predecessors within the batch (a score update may target a user
+// added moments before), so the published state is identical to applying
+// the same sequence one at a time.
 func (ms *MutableServer) applyBatch(batch []*pendingMut) {
+	if ms.failed != nil {
+		stopped := mutErr(http.StatusServiceUnavailable, codeUnavailable, "writer stopped by a failed log sync: %v", ms.failed)
+		for _, m := range batch {
+			m.reply <- stopped
+		}
+		return
+	}
 	cur := ms.Snapshot()
 	repo := cur.Repo().Clone()
 	ix := cur.Index().Clone(repo)
-	bucketed := ix.NumBucketedProperties()
 	ms.met.BatchSize.Observe(float64(len(batch)))
 	ms.met.QueueDepth.Set(int64(len(ms.mutCh)))
 	replies := make([]mutReply, len(batch))
@@ -320,8 +334,17 @@ func (ms *MutableServer) applyBatch(batch []*pendingMut) {
 		replies[i] = ms.applyOne(repo, ix, m, &staged)
 	}
 	if staged > 0 {
-		if err := ms.log.Sync(); err != nil {
-			// Durability failed: nothing publishes and every waiter learns it.
+		err := ms.stageBuckets(ix)
+		if err == nil {
+			err = ms.log.Sync()
+		}
+		if err == nil && ms.afterSync != nil {
+			err = ms.afterSync()
+		}
+		if err != nil {
+			// Durability failed: nothing publishes, every waiter learns it,
+			// and the writer stops.
+			ms.failed = err
 			fail := mutErr(http.StatusInternalServerError, codeInternal, "syncing log: %v", err)
 			for _, m := range batch {
 				m.reply <- fail
@@ -336,11 +359,6 @@ func (ms *MutableServer) applyBatch(batch []*pendingMut) {
 	// batches), which newSnapshot stamps into the epoch below.
 	ms.selCache.applyDelta(ix.TakeDelta())
 	ms.publish(newSnapshot(cur.Epoch()+1, repo, ix))
-	if ix.NumBucketedProperties() > bucketed {
-		// The batch derived boundaries for a first-sight property; a restart
-		// must reuse them, not re-derive from whatever scores accumulate.
-		ms.persistBuckets(ix)
-	}
 	ms.batches.Add(1)
 	ms.mutations.Add(uint64(len(batch)))
 	for i, m := range batch {

@@ -38,6 +38,11 @@
 #      internal/durable): arbitrary bytes after a valid header must open
 #      without a panic, and the file Open leaves must reopen to the same
 #      records with nothing more recovered
+#   9. a bounded fuzz run (10 s) of the bucket-cut decoder (FuzzReadBuckets
+#      in internal/codec), which decodes the repository log's boundaries
+#      records on every mutable server start: payloads framed by a valid
+#      header and checksum must decode without a panic, and cuts it accepts
+#      must re-encode and decode equal
 #
 # `./scripts/check.sh race` (what `make race` runs) runs step 6 alone; the
 # package list below is the only copy.
@@ -83,5 +88,8 @@ go test -run '^$' -fuzz '^FuzzDecodeSelection$' -fuzztime 15s -fuzzminimizetime 
 
 echo "== go test -fuzz FuzzOpen ./internal/durable"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 100x ./internal/durable
+
+echo "== go test -fuzz FuzzReadBuckets ./internal/codec"
+go test -run '^$' -fuzz '^FuzzReadBuckets$' -fuzztime 10s -fuzzminimizetime 100x ./internal/codec
 
 echo "check: all green"
