@@ -5,6 +5,11 @@ package podium
 // to the Go toolchain, so they are skipped in -short mode.
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -151,5 +156,103 @@ func TestCLIBenchApprox(t *testing.T) {
 	}
 	if !strings.HasSuffix(entries[0].Name(), ".svg") {
 		t.Fatalf("unexpected file %q", entries[0].Name())
+	}
+}
+
+// startServer starts the podium-server binary with args on a free port and
+// returns its base URL and a stop function that interrupts it and waits for
+// its clean exit.
+func startServer(t *testing.T, bin string, args ...string) (string, func()) {
+	t.Helper()
+	cmd := exec.Command(bin, append(args, "-addr", "127.0.0.1:0")...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+	sc := bufio.NewScanner(stdout)
+	url := ""
+	for url == "" && sc.Scan() {
+		if _, after, ok := strings.Cut(sc.Text(), "podium-server: listening on "); ok {
+			url = after
+		}
+	}
+	if url == "" {
+		cmd.Process.Kill()
+		t.Fatalf("podium-server %v exited before listening: %v", args, cmd.Wait())
+	}
+	go io.Copy(io.Discard, stdout)
+	return url, func() {
+		t.Helper()
+		if err := cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("podium-server %v: %v", args, err)
+		}
+	}
+}
+
+// post sends body to url and returns the 200 response body.
+func post(t *testing.T, url, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d %v: %s", url, resp.StatusCode, err, data)
+	}
+	return data
+}
+
+// An immutable podium-server started with -in on a repository log serves
+// the panel a -log server restarted on a copy of that log serves, at every
+// boot: both pin the bucket cuts the log committed. Property "q" is
+// bucketed at its first score, so cuts derived from all five scores would
+// group users otherwise. Reading the log leaves its bytes as they were.
+func TestCLIServerOnRepositoryLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	bin := buildTool(t, dir, "podium-server")
+	logPath := filepath.Join(dir, "repo.plog")
+	url, stop := startServer(t, bin, "-log", logPath)
+	for i, q := range []float64{0.5, 0.05, 0.12, 0.33, 0.41} {
+		post(t, url+"/api/v1/users", fmt.Sprintf(`{"name":"U%d","properties":{"q":%g}}`, i, q))
+	}
+	stop()
+	logBytes, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyPath := filepath.Join(dir, "copy.plog")
+	if err := os.WriteFile(copyPath, logBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	selectOn := func(args ...string) []byte {
+		url, stop := startServer(t, bin, args...)
+		defer stop()
+		return post(t, url+"/api/v1/select", `{"budget":3}`)
+	}
+	restarted := selectOn("-log", copyPath)
+	// The second -in start would load a snapshot image the first wrote, and
+	// an image holds no cuts; podium-server writes none for such a log.
+	img := filepath.Join(dir, "repo.img")
+	for boot := 1; boot <= 2; boot++ {
+		if immutable := selectOn("-in", logPath, "-snapshot-image", img); !bytes.Equal(immutable, restarted) {
+			t.Fatalf("boot %d: -in server on the log selects\n%s\na -log server restarted on a copy selects\n%s", boot, immutable, restarted)
+		}
+	}
+	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, logBytes) {
+		t.Fatalf("serving -in changed the log: %d bytes before, %d after (%v)", len(logBytes), len(after), err)
 	}
 }

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		in        = flag.String("in", "", "profiles file: JSON, binary or repository log (required)")
+		in        = flag.String("in", "", "profiles file: JSON, binary or repository log (required); groups are bucketed by -buckets, also for a log, whose committed cuts are not used")
 		usersFlag = flag.String("users", "", "comma-separated user names or IDs")
 		usersFile = flag.String("users-file", "", "file with one user name or ID per line")
 		topK      = flag.Int("topk", 200, "top-k group count for the coverage metrics")
@@ -39,7 +39,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	repo, err := load.Repository(*in)
+	repo, _, err := load.Repository(*in)
 	if err != nil {
 		fatal(err)
 	}

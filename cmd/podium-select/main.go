@@ -34,7 +34,7 @@ func (l *labelList) Set(v string) error {
 
 func main() {
 	var (
-		in       = flag.String("in", "", "profiles JSON file (required)")
+		in       = flag.String("in", "", "profiles file: JSON, binary or repository log (required); groups are bucketed by -method and -buckets, also for a log, whose committed cuts are not used")
 		budget   = flag.Int("budget", 8, "number of users to select")
 		weights  = flag.String("weights", "LBS", "weight scheme: Iden | LBS | EBS")
 		coverage = flag.String("coverage", "Single", "coverage scheme: Single | Prop")
@@ -68,7 +68,7 @@ func main() {
 	}
 	// Any on-disk format works: JSON, binary (.podium), repository log
 	// (.plog) — detected by magic bytes.
-	repo, err := load.Repository(*in)
+	repo, _, err := load.Repository(*in)
 	if err != nil {
 		fatal(err)
 	}

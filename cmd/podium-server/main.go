@@ -70,10 +70,10 @@ func defaultConfigs() []server.NamedConfig {
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		in          = flag.String("in", "", "profiles file: JSON, binary or repository log (overrides -dataset)")
+		in          = flag.String("in", "", "profiles file: JSON, binary or repository log (overrides -dataset); a repository log is served with the bucket cuts it committed")
 		logPath     = flag.String("log", "", "repository log path: serve a MUTABLE repository backed by this log (POST /api/v1/users, /api/v1/scores)")
 		dataset     = flag.String("dataset", "tripadvisor", "generator preset when no -in: tripadvisor | yelp")
-		snapImage   = flag.String("snapshot-image", "", "format-v2 binary snapshot image path: load the repository from it when present (near-instant restart), else persist one after the usual -in/-dataset load (immutable mode only)")
+		snapImage   = flag.String("snapshot-image", "", "format-v2 binary snapshot image path: load the repository from it when present (near-instant restart), else persist one after the usual -in/-dataset load (immutable mode only; not from a repository log that committed bucket cuts, which an image cannot hold)")
 		users       = flag.Int("users", 500, "generated user count when no -in")
 		buckets     = flag.Int("buckets", 3, "score buckets per property")
 		batchWindow = flag.Duration("batch-window", 0, "mutable server: how long the writer waits for more mutations to coalesce (0 = drain whatever is queued)")
@@ -114,8 +114,9 @@ func main() {
 		log.Fatalf("podium-server: -shard-id must be in [0,%d)", *shardCount)
 	}
 
-	// Both modes converge on (srv, closer): a hardened handler plus the
-	// shutdown hook that runs after the listener drains.
+	// Every mode converges on (srv, closer): the server whose route table
+	// serves, hardened, and the shutdown hook that runs after the listener
+	// drains. A coordinator registers its endpoints in srv's table.
 	var srv *server.Server
 	closer := func() {}
 
@@ -156,8 +157,11 @@ func main() {
 			}
 		}
 		if repo == nil && *in != "" {
+			// A repository log carries the bucket cuts its writer's index
+			// used; pinning them serves that writer's groups and panels
+			// (other formats carry none, and Build derives cuts).
 			var err error
-			repo, err = load.Repository(*in)
+			repo, gcfg.FixedBuckets, err = load.Repository(*in)
 			if err != nil {
 				log.Fatalf("podium-server: %v", err)
 			}
@@ -178,7 +182,11 @@ func main() {
 		}
 		loadDur := time.Since(loadStart)
 		if *snapImage != "" && format != "image" {
-			if err := codec.WriteImageFile(*snapImage, repo); err != nil {
+			if len(gcfg.FixedBuckets) > 0 {
+				// An image holds no bucket cuts: a restart from it would
+				// derive its own and serve other groups than the log's.
+				log.Printf("podium-server: not writing snapshot image %s: it cannot hold the bucket cuts %s committed", *snapImage, *in)
+			} else if err := codec.WriteImageFile(*snapImage, repo); err != nil {
 				log.Printf("podium-server: persisting snapshot image %s: %v", *snapImage, err)
 			} else {
 				fmt.Printf("podium-server: wrote snapshot image %s for fast restarts\n", *snapImage)
@@ -207,11 +215,6 @@ func main() {
 		fmt.Println("podium-server: pprof mounted at /debug/pprof/")
 	}
 
-	hopts := server.HardenOptions{
-		RequestTimeout: *reqTimeout,
-		MaxBodyBytes:   *maxBody,
-	}
-	handler := srv.Hardened(hopts)
 	if *coordinator != "" {
 		co := shard.NewCoordinator(srv, strings.Split(*coordinator, ","), shard.CoordinatorOptions{
 			Resilience: client.ResilienceOptions{
@@ -229,10 +232,13 @@ func main() {
 		co.Registry().Start()
 		base := closer
 		closer = func() { co.Registry().Stop(); base() }
-		handler = server.HardenedHandler(co, hopts)
 		fmt.Printf("podium-server: COORDINATOR over %d shards: %v\n",
 			len(co.ShardURLs()), co.ShardURLs())
 	}
+	handler := srv.Hardened(server.HardenOptions{
+		RequestTimeout: *reqTimeout,
+		MaxBodyBytes:   *maxBody,
+	})
 	if *faultsSpec != "" {
 		cfg, err := faults.ParseSpec(*faultsSpec)
 		if err != nil {

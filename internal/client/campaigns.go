@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// CampaignRequest mirrors the server's POST /api/campaigns body. Zero-valued
+// CampaignRequest mirrors the server's POST /api/v1/campaigns body. Zero-valued
 // fields select server-side defaults.
 type CampaignRequest struct {
 	Budget        int     `json:"budget,omitempty"`

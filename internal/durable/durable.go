@@ -16,8 +16,9 @@
 //
 // Replay follows write-ahead-log convention. A record that is cut short,
 // fails its checksum, or declares a length over the cap or past the end of
-// the file is a torn tail — the signature of a crash mid-append. The tail is
-// truncated and its size reported; every record before it is replayed.
+// the file is a torn tail — the signature of a crash mid-append. Open
+// truncates the tail and reports its size; Read, which never writes, stops
+// there. Either way every record before it is replayed.
 package durable
 
 import (
@@ -111,11 +112,10 @@ func Open(path, magic string, version byte, maxRecord int, replay func(kind byte
 }
 
 func (j *Journal) replay(fn func(kind byte, payload []byte) error) error {
-	info, err := j.f.Stat()
+	size, valid, err := replayFile(j.f, j.path, j.header, j.maxRecord, fn)
 	if err != nil {
-		return fmt.Errorf("durable: %w", err)
+		return err
 	}
-	size := info.Size()
 	if size == 0 {
 		if _, err := j.f.Write(j.header); err != nil {
 			return fmt.Errorf("durable: writing header: %w", err)
@@ -125,34 +125,11 @@ func (j *Journal) replay(fn func(kind byte, payload []byte) error) error {
 		}
 		return syncDir(filepath.Dir(j.path))
 	}
-	r := bufio.NewReader(j.f)
-	head := make([]byte, len(j.header))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return fmt.Errorf("durable: %s: reading header: %w", j.path, err)
-	}
-	magic := len(head) - 1
-	if string(head[:magic]) != string(j.header[:magic]) {
-		return fmt.Errorf("durable: %s is not a %s journal", j.path, j.header[:magic])
-	}
-	if head[magic] != j.header[magic] {
-		return fmt.Errorf("durable: %s: unsupported %s version %d", j.path, j.header[:magic], head[magic])
-	}
-	// The file ends cleanly only where a record ends; any short read past
-	// that point, including one right after a kind byte, is a torn tail.
-	valid := int64(len(head))
-	for valid < size {
-		kind, payload, n, ok := j.readRecord(r, size-valid)
-		if !ok {
-			j.Recovered = size - valid
-			if err := j.f.Truncate(valid); err != nil {
-				return fmt.Errorf("durable: truncating torn tail: %w", err)
-			}
-			break
+	if valid < size {
+		j.Recovered = size - valid
+		if err := j.f.Truncate(valid); err != nil {
+			return fmt.Errorf("durable: truncating torn tail: %w", err)
 		}
-		if err := fn(kind, payload); err != nil {
-			return err
-		}
-		valid += n
 	}
 	if _, err := j.f.Seek(valid, io.SeekStart); err != nil {
 		return fmt.Errorf("durable: %w", err)
@@ -160,17 +137,73 @@ func (j *Journal) replay(fn func(kind byte, payload []byte) error) error {
 	return nil
 }
 
+// Read hands every intact record of the journal at path to replay, in file
+// order, without writing to the file: it never creates, truncates or syncs
+// it, so a reader may replay a journal that a writer is appending to. What
+// follows the last intact record, a torn tail or an append still in flight,
+// is not replayed. An empty file holds no records.
+func Read(path, magic string, version byte, maxRecord int, replay func(kind byte, payload []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	defer f.Close()
+	_, _, err = replayFile(f, path, append([]byte(magic), version), maxRecord, replay)
+	return err
+}
+
+// replayFile is the record loop Open and Read share. It checks the header of
+// the journal in f and hands each intact record to fn, and it returns the
+// file's size and the length of its intact prefix: the header and every
+// record up to the first torn one. An empty file has neither.
+func replayFile(f *os.File, path string, header []byte, maxRecord int, fn func(kind byte, payload []byte) error) (size, valid int64, err error) {
+	info, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("durable: %w", err)
+	}
+	size = info.Size()
+	if size == 0 {
+		return 0, 0, nil
+	}
+	r := bufio.NewReader(f)
+	head := make([]byte, len(header))
+	if _, err := io.ReadFull(r, head); err != nil {
+		return 0, 0, fmt.Errorf("durable: %s: reading header: %w", path, err)
+	}
+	magic := len(head) - 1
+	if string(head[:magic]) != string(header[:magic]) {
+		return 0, 0, fmt.Errorf("durable: %s is not a %s journal", path, header[:magic])
+	}
+	if head[magic] != header[magic] {
+		return 0, 0, fmt.Errorf("durable: %s: unsupported %s version %d", path, header[:magic], head[magic])
+	}
+	// The file ends cleanly only where a record ends; any short read past
+	// that point, including one right after a kind byte, is a torn tail.
+	valid = int64(len(head))
+	for valid < size {
+		kind, payload, n, ok := readRecord(r, size-valid, maxRecord)
+		if !ok {
+			break
+		}
+		if err := fn(kind, payload); err != nil {
+			return 0, 0, err
+		}
+		valid += n
+	}
+	return size, valid, nil
+}
+
 // readRecord reads one record from r, which holds the file's last remain
 // bytes, and reports its size; ok is false for a torn or corrupt record. The
 // declared length is checked against the cap and against remain before the
 // payload is allocated, so a torn length costs nothing however large it is.
-func (j *Journal) readRecord(r *bufio.Reader, remain int64) (kind byte, payload []byte, n int64, ok bool) {
+func readRecord(r *bufio.Reader, remain int64, maxRecord int) (kind byte, payload []byte, n int64, ok bool) {
 	kind, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, 0, false
 	}
 	plen, lenBytes, ok := readUvarint(r)
-	if !ok || plen > uint64(j.maxRecord) {
+	if !ok || plen > uint64(maxRecord) {
 		return 0, nil, 0, false
 	}
 	n = 1 + int64(lenBytes) + int64(plen) + crc32.Size

@@ -64,9 +64,9 @@ func testRecords() []record {
 }
 
 // TestTornTailEveryByte cuts a journal at every byte past its header. Each
-// cut must replay exactly the records that end at or before it, report the
-// rest as recovered, and keep a record appended after recovery across a
-// reopen.
+// cut must replay exactly the records that end at or before it, through
+// Read without changing the file and through Open, which reports the rest
+// as recovered, and keep a record appended after recovery across a reopen.
 func TestTornTailEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "full")
@@ -99,12 +99,25 @@ func TestTornTailEveryByte(t *testing.T) {
 		if err := os.WriteFile(cutPath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, got := openRecords(t, cutPath)
 		complete, kept := 0, int64(headerLen)
 		for complete < len(ends) && ends[complete] <= int64(cut) {
 			kept = ends[complete]
 			complete++
 		}
+		var read []record
+		if err := Read(cutPath, testMagic, testVersion, testMax, func(kind byte, payload []byte) error {
+			read = append(read, record{kind, payload})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecords(read, recs[:complete]) {
+			t.Fatalf("cut %d: Read replayed %d records, want the %d complete ones", cut, len(read), complete)
+		}
+		if data, err := os.ReadFile(cutPath); err != nil || !bytes.Equal(data, full[:cut]) {
+			t.Fatalf("cut %d: Read changed the file to %d bytes (%v)", cut, len(data), err)
+		}
+		j, got := openRecords(t, cutPath)
 		if !sameRecords(got, recs[:complete]) {
 			t.Fatalf("cut %d: replayed %d records, want the %d complete ones", cut, len(got), complete)
 		}

@@ -153,7 +153,7 @@ func runReplicaCell(cfg DistConfig, plan *shard.Plan, repo *profile.Repository, 
 	httpc := &http.Client{Transport: tr}
 
 	base := server.New("bench-coordinator", repo, gcfg, nil)
-	co := shard.NewCoordinator(base, specs, shard.CoordinatorOptions{
+	shard.NewCoordinator(base, specs, shard.CoordinatorOptions{
 		HTTPClient: httpc,
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{
@@ -171,7 +171,7 @@ func runReplicaCell(cfg DistConfig, plan *shard.Plan, repo *profile.Repository, 
 			Seed:         cfg.Seed + 2,
 		},
 	})
-	front := httptest.NewServer(co)
+	front := httptest.NewServer(base)
 	defer front.Close()
 	c := client.New(front.URL, httpc)
 

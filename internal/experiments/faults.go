@@ -390,7 +390,7 @@ func runOverloadPhase(dir string, cfg FaultsConfig, gcfg groups.Config) (*Faults
 				body := fmt.Sprintf(`{"user":%d,"label":%q,"score":%g}`,
 					rng.Intn(cfg.Users), propLabel(rng.Intn(cfg.Props)), float64(rng.Intn(1001))/1000)
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/scores", strings.NewReader(body)))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/scores", strings.NewReader(body)))
 				writes.Add(1)
 				if rec.Code == http.StatusTooManyRequests {
 					shed.Add(1)
@@ -406,7 +406,7 @@ func runOverloadPhase(dir string, cfg FaultsConfig, gcfg groups.Config) (*Faults
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/status", nil))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/status", nil))
 				reads.Add(1)
 				if rec.Code != http.StatusOK {
 					readErrs.Add(1)

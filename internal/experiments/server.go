@@ -130,24 +130,24 @@ func opStream(clientID int, cfg ServerConfig) func() benchOp {
 				for _, p := range rng.Perm(cfg.Props)[:4] {
 					props = append(props, fmt.Sprintf("%q:%g", propLabel(p), float64(rng.Intn(1001))/1000))
 				}
-				return benchOp{http.MethodPost, "/api/users",
+				return benchOp{http.MethodPost, "/api/v1/users",
 					fmt.Sprintf(`{"name":%q,"properties":{%s}}`, name, strings.Join(props, ",")), true}
 			}
-			return benchOp{http.MethodPost, "/api/scores",
+			return benchOp{http.MethodPost, "/api/v1/scores",
 				fmt.Sprintf(`{"user":%d,"label":%q,"score":%g}`,
 					rng.Intn(cfg.Users), propLabel(rng.Intn(cfg.Props)), float64(rng.Intn(1001))/1000), true}
 		}
 		switch r := rng.Intn(100); {
 		case r < 2:
-			return benchOp{http.MethodPost, "/api/select",
+			return benchOp{http.MethodPost, "/api/v1/select",
 				fmt.Sprintf(`{"budget":%d}`, cfg.Budget), false}
 		case r < 70:
-			return benchOp{http.MethodGet, "/api/groups?limit=20", "", false}
+			return benchOp{http.MethodGet, "/api/v1/groups?limit=20", "", false}
 		case r < 82:
 			return benchOp{http.MethodGet,
-				"/api/distribution?prop=" + propLabel(rng.Intn(cfg.Props)), "", false}
+				"/api/v1/distribution?prop=" + propLabel(rng.Intn(cfg.Props)), "", false}
 		default:
-			return benchOp{http.MethodGet, "/api/status", "", false}
+			return benchOp{http.MethodGet, "/api/v1/status", "", false}
 		}
 	}
 }
@@ -179,7 +179,7 @@ func driveClients(h http.Handler, cfg ServerConfig) (readLat, writeLat []float64
 				// the generator; their distribution probes 404 and still
 				// count as served reads.
 				if rec.Code != http.StatusOK &&
-					!(rec.Code == http.StatusNotFound && strings.HasPrefix(op.path, "/api/distribution")) {
+					!(rec.Code == http.StatusNotFound && strings.HasPrefix(op.path, "/api/v1/distribution")) {
 					panic(fmt.Sprintf("serving drive: %s %s -> %d: %s", op.method, op.path, rec.Code, rec.Body.String()))
 				}
 				perClient[c] = append(perClient[c], sample{lat, op.write})

@@ -143,7 +143,7 @@ func TestChaosNoLostAcknowledgedMutations(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := hc.Get(ts.URL + "/api/status")
+			resp, err := hc.Get(ts.URL + "/api/v1/status")
 			if err != nil {
 				continue
 			}
@@ -304,7 +304,7 @@ func TestChaosCoordinatorShardLoss(t *testing.T) {
 	s1 := httptest.NewServer(inj.Wrap(server.New("shard1", plan.Shards[1].Repo, shardCfg, nil)))
 
 	base := server.New("coordinator", repo, gcfg, nil)
-	co := shard.NewCoordinator(base, []string{s0.URL, s1.URL}, shard.CoordinatorOptions{
+	shard.NewCoordinator(base, []string{s0.URL, s1.URL}, shard.CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{
 				MaxAttempts: 4,
@@ -317,7 +317,7 @@ func TestChaosCoordinatorShardLoss(t *testing.T) {
 			},
 		},
 	})
-	front := httptest.NewServer(server.HardenedHandler(co, server.HardenOptions{
+	front := httptest.NewServer(base.Hardened(server.HardenOptions{
 		Logf: func(string, ...interface{}) {},
 	}))
 	defer front.Close()
@@ -455,7 +455,7 @@ func TestChaosReplicaKillBitIdentical(t *testing.T) {
 	}
 
 	base := server.New("coordinator", repo, gcfg, nil)
-	co := shard.NewCoordinator(base, specs, shard.CoordinatorOptions{
+	shard.NewCoordinator(base, specs, shard.CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{
 				MaxAttempts:        4,
@@ -472,7 +472,7 @@ func TestChaosReplicaKillBitIdentical(t *testing.T) {
 			Seed:         7,
 		},
 	})
-	front := httptest.NewServer(server.HardenedHandler(co, server.HardenOptions{
+	front := httptest.NewServer(base.Hardened(server.HardenOptions{
 		Logf: func(string, ...interface{}) {},
 	}))
 	defer front.Close()

@@ -91,7 +91,7 @@ func TestWrapErrorFiresBeforeHandler(t *testing.T) {
 		handled = true
 	}))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/users", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/users", nil))
 	if handled {
 		t.Fatal("injected Error must reject before the handler (mutations would leak)")
 	}

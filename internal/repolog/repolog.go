@@ -3,8 +3,9 @@
 // with periodic snapshot compaction. This is the durability substrate behind
 // Section 9's operational story — Podium "applies to a given user repository
 // as-is and may be easily executed multiple times, e.g., to incorporate data
-// updates": the platform appends profile mutations as they happen, and every
-// selection run opens the log and replays it into an in-memory repository.
+// updates": the platform appends profile mutations as they happen (Open),
+// and every selection run reads the log (Read) and replays it into an
+// in-memory repository without writing to it.
 //
 // The log is a durable.Journal with magic "PLOG", version 1 and records of
 // at most 1 GiB. Record kinds: snapshot (1, a full repository in the
@@ -12,9 +13,10 @@
 // (4, bucket cuts β(p) in the codec.WriteBuckets format). Boundaries records
 // make the log the one durable state a mutable server restarts from: the
 // cuts its live index assigned scores with commit in the batch whose
-// mutations derived them, and a restart pins the rebuilt index to them. A
-// torn or corrupted tail — the signature of a crash mid-append — is
-// truncated and reported; everything before it is recovered.
+// mutations derived them, and a restart, or an immutable server that reads
+// the log, pins the rebuilt index to them. A torn or corrupted tail — the
+// signature of a crash mid-append — is truncated and reported by Open and
+// left in place by Read; everything before it is recovered.
 package repolog
 
 import (
@@ -69,6 +71,19 @@ func Open(path string) (*Log, error) {
 	}
 	l.j, l.Recovered = j, j.Recovered
 	return l, nil
+}
+
+// Read replays the log at path into a repository and the bucket cuts its
+// boundaries records hold, without writing to the file: unlike Open it never
+// creates or truncates the log and never syncs it, so a selection run can
+// read a log that a server is appending to. A torn tail, or a batch still
+// being appended, is left out.
+func Read(path string) (*profile.Repository, map[profile.PropertyID][]bucketing.Bucket, error) {
+	l := &Log{path: path, repo: profile.NewRepository(), buckets: map[profile.PropertyID][]bucketing.Bucket{}}
+	if err := durable.Read(path, logMagic, logVersion, maxRecordLen, l.apply); err != nil {
+		return nil, nil, err
+	}
+	return l.repo, l.buckets, nil
 }
 
 // apply folds one replayed record into the in-memory repository.

@@ -11,17 +11,16 @@ import (
 	"sync"
 
 	"podium/internal/campaign"
-	"podium/internal/groups"
 	"podium/internal/profile"
 )
 
 // Campaign endpoints drive the procurement orchestrator (internal/campaign)
 // over the server's published snapshots:
 //
-//	POST /api/campaigns             start a campaign (runs asynchronously)
-//	GET  /api/campaigns             list campaign summaries
-//	GET  /api/campaigns/{id}        one campaign with its round transcript
-//	POST /api/campaigns/{id}/cancel ask a campaign to stop
+//	POST /api/v1/campaigns             start a campaign (runs asynchronously)
+//	GET  /api/v1/campaigns             list campaign summaries
+//	GET  /api/v1/campaigns/{id}        one campaign with its round transcript
+//	POST /api/v1/campaigns/{id}/cancel ask a campaign to stop
 //
 // A campaign captures the snapshot current at creation: selections and
 // repairs run against that epoch for the campaign's whole life, so a
@@ -55,9 +54,9 @@ func (s *Server) SetCampaignDir(dir string) {
 	s.camps.mu.Unlock()
 }
 
-// campaignRequest is the POST /api/campaigns body. Selection fields mirror
-// /api/select; the rest parameterize the orchestrator and the simulated
-// population.
+// campaignRequest is the POST /api/v1/campaigns body. Selection fields
+// mirror /api/v1/select and pass the same check (CheckSelect); the rest
+// parameterize the orchestrator and the simulated population.
 type campaignRequest struct {
 	Budget        int     `json:"budget"`
 	Weights       string  `json:"weights"`
@@ -209,28 +208,11 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "decoding request: %v", err)
 		return
 	}
-	ws, err := parseWeights(req.Weights)
+	sn := s.Snapshot()
+	p, err := sn.CheckSelect(req.Weights, req.Coverage, req.Rule, req.Budget, nil)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
-	}
-	cs, err := parseCoverage(req.Coverage)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
-		return
-	}
-	rule, err := parseRule(req.Rule)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
-		return
-	}
-	if ws == groups.WeightEBS && !rule.EBSCompatible() {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument,
-			"rule %q does not support EBS weights (exact rank arithmetic implements only the coverage objective)", rule.Name())
-		return
-	}
-	if req.Budget <= 0 {
-		req.Budget = 8
 	}
 	if req.TimeScale < 0 || req.TimeScale > 1 {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "time_scale must be in [0,1]")
@@ -243,11 +225,11 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 	// (and default campaigns created before this field existed) stay
 	// byte-identical on resume.
 	ruleName := ""
-	if !rule.IsDefault() {
-		ruleName = rule.Name()
+	if !p.Rule.IsDefault() {
+		ruleName = p.Rule.Name()
 	}
 	cfg := campaign.Config{
-		Budget:        req.Budget,
+		Budget:        p.Budget,
 		Rule:          ruleName,
 		MaxRounds:     req.MaxRounds,
 		MaxAttempts:   req.MaxAttempts,
@@ -266,8 +248,7 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 
-	sn := s.Snapshot()
-	inst := sn.Instance(ws, cs, cfg.Budget)
+	inst := sn.Instance(p.Weights, p.Coverage, cfg.Budget)
 
 	s.camps.mu.Lock()
 	s.camps.next++
@@ -338,28 +319,11 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusOK, campaignToJSON(rc, false))
 }
 
-// CancelCampaigns cancels every campaign and waits for their orchestrators
-// to finish — shutdown hygiene for embedding servers.
-func (s *Server) CancelCampaigns() {
-	s.camps.mu.Lock()
-	rcs := make([]*runningCampaign, 0, len(s.camps.byID))
-	for _, rc := range s.camps.byID {
-		rcs = append(rcs, rc)
-	}
-	s.camps.mu.Unlock()
-	for _, rc := range rcs {
-		rc.c.Cancel()
-	}
-	for _, rc := range rcs {
-		<-rc.c.Done()
-	}
-}
-
 // PauseCampaigns pauses every campaign at its next journaled boundary and
 // waits for the orchestrators to return — the graceful-shutdown path.
-// Unlike CancelCampaigns, no terminal verdict is journaled: a journaled
-// campaign's WAL is left resumable, and restarting against the same
-// campaign directory continues each campaign bit-identically.
+// No terminal verdict is journaled: a journaled campaign's WAL is left
+// resumable, and restarting against the same campaign directory continues
+// each campaign bit-identically.
 func (s *Server) PauseCampaigns() {
 	s.camps.mu.Lock()
 	rcs := make([]*runningCampaign, 0, len(s.camps.byID))

@@ -5,8 +5,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"podium/internal/groups"
+	"podium/internal/synth"
 )
 
 type campaignView struct {
@@ -50,7 +54,7 @@ func TestCampaignEndpointLifecycle(t *testing.T) {
 	s := newTestServer(t)
 
 	var created campaignView
-	rec := doJSON(t, s, http.MethodPost, "/api/campaigns", `{"budget":2,"seed":17}`, &created)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/campaigns", `{"budget":2,"seed":17}`, &created)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -60,7 +64,7 @@ func TestCampaignEndpointLifecycle(t *testing.T) {
 	waitCampaign(t, s, created.ID)
 
 	var got campaignView
-	rec = doJSON(t, s, http.MethodGet, fmt.Sprintf("/api/campaigns/%d", created.ID), "", &got)
+	rec = doJSON(t, s, http.MethodGet, fmt.Sprintf("/api/v1/campaigns/%d", created.ID), "", &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("get = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -81,7 +85,7 @@ func TestCampaignEndpointLifecycle(t *testing.T) {
 	}
 
 	var list []campaignView
-	rec = doJSON(t, s, http.MethodGet, "/api/campaigns", "", &list)
+	rec = doJSON(t, s, http.MethodGet, "/api/v1/campaigns", "", &list)
 	if rec.Code != http.StatusOK || len(list) != 1 || list[0].ID != created.ID {
 		t.Fatalf("list = %d %+v", rec.Code, list)
 	}
@@ -102,24 +106,40 @@ func TestCampaignEndpointValidation(t *testing.T) {
 		{`{"unknown_field":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if rec := doJSON(t, s, http.MethodPost, "/api/campaigns", tc.body, nil); rec.Code != tc.want {
+		if rec := doJSON(t, s, http.MethodPost, "/api/v1/campaigns", tc.body, nil); rec.Code != tc.want {
 			t.Fatalf("POST %s = %d, want %d", tc.body, rec.Code, tc.want)
 		}
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/api/campaigns/999", "", nil); rec.Code != http.StatusNotFound {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/campaigns/999", "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown id = %d", rec.Code)
 	}
 	// A non-numeric id is no such resource, not a malformed request: the
 	// route table matches the path shape, so the id is just an unknown name.
-	if rec := doJSON(t, s, http.MethodGet, "/api/campaigns/abc", "", nil); rec.Code != http.StatusNotFound {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/campaigns/abc", "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("non-numeric id = %d", rec.Code)
 	}
 	// Trailing garbage after the id is not a campaign path at all.
-	if rec := doJSON(t, s, http.MethodGet, "/api/campaigns/1garbage", "", nil); rec.Code != http.StatusNotFound {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/campaigns/1garbage", "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("trailing-garbage id = %d", rec.Code)
 	}
-	if rec := doJSON(t, s, http.MethodDelete, "/api/campaigns", "", nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := doJSON(t, s, http.MethodDelete, "/api/v1/campaigns", "", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE collection = %d", rec.Code)
+	}
+}
+
+// Campaign creation refuses what a select refuses. On a 5,150-group index
+// EBS weights overflow float64; a campaign run under them would hold +Inf
+// scores that no later list of campaigns could encode.
+func TestCampaignEndpointRejectsInfiniteEBS(t *testing.T) {
+	s := New("scale", synth.Generate(synth.ScaleLike(3000)).Repo, groups.Config{K: 3}, nil)
+	for _, path := range []string{"/api/v1/select", "/api/v1/campaigns"} {
+		rec := doJSON(t, s, http.MethodPost, path, `{"weights":"ebs"}`, nil)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "EBS weights overflow") {
+			t.Fatalf("POST %s with EBS weights = %d, want the overflow 400: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/campaigns", "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("campaign list = %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -129,21 +149,21 @@ func TestCampaignEndpointCancel(t *testing.T) {
 	// while the campaign is still soliciting.
 	var created campaignView
 	body := `{"budget":2,"seed":5,"time_scale":1.0,"mean_latency_ms":2000,"timeout_ms":3000}`
-	rec := doJSON(t, s, http.MethodPost, "/api/campaigns", body, &created)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/campaigns", body, &created)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
 	}
-	rec = doJSON(t, s, http.MethodPost, fmt.Sprintf("/api/campaigns/%d/cancel", created.ID), "", nil)
+	rec = doJSON(t, s, http.MethodPost, fmt.Sprintf("/api/v1/campaigns/%d/cancel", created.ID), "", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cancel = %d: %s", rec.Code, rec.Body.String())
 	}
 	waitCampaign(t, s, created.ID)
 	var got campaignView
-	doJSON(t, s, http.MethodGet, fmt.Sprintf("/api/campaigns/%d", created.ID), "", &got)
+	doJSON(t, s, http.MethodGet, fmt.Sprintf("/api/v1/campaigns/%d", created.ID), "", &got)
 	if got.State != "cancelled" {
 		t.Fatalf("state after cancel = %q", got.State)
 	}
-	if rec := doJSON(t, s, http.MethodGet, fmt.Sprintf("/api/campaigns/%d/cancel", created.ID), "", nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := doJSON(t, s, http.MethodGet, fmt.Sprintf("/api/v1/campaigns/%d/cancel", created.ID), "", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET cancel = %d", rec.Code)
 	}
 }
@@ -153,7 +173,7 @@ func TestCampaignEndpointWALDir(t *testing.T) {
 	dir := t.TempDir()
 	s.SetCampaignDir(dir)
 	var created campaignView
-	rec := doJSON(t, s, http.MethodPost, "/api/campaigns", `{"budget":2,"seed":9}`, &created)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/campaigns", `{"budget":2,"seed":9}`, &created)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
 	}

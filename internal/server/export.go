@@ -11,32 +11,19 @@ import (
 	"podium/internal/groups"
 )
 
-// Hooks for the shard coordinator (internal/shard). The coordinator fronts a
-// Server and must speak byte-compatible request and response surfaces —
-// same scheme strings, same error envelope, same selection JSON — so the
-// pieces of that surface it reuses are re-exported here rather than
-// duplicated there. (The dependency points this way by necessity: client
-// imports server, so server can never import the coordinator's package.)
-
-// ParseWeights parses a request weight-scheme string ("", "iden", "lbs",
-// "ebs", case-insensitive; empty selects LBS).
-func ParseWeights(s string) (groups.WeightScheme, error) { return parseWeights(s) }
-
-// ParseCoverage parses a request coverage-scheme string ("", "single",
-// "prop"; empty selects Single).
-func ParseCoverage(s string) (groups.CoverageScheme, error) { return parseCoverage(s) }
-
-// ParseRule parses a request rule string against the core registry
-// (case-insensitive; empty selects the default coverage rule), with the same
-// error message handleSelect produces for unknown names.
-func ParseRule(s string) (*core.Rule, error) { return parseRule(s) }
+// Hooks for the shard coordinator (internal/shard). The coordinator serves
+// its endpoints from a Server's route table (Handle) and must speak
+// byte-compatible request and response surfaces — same parameter check
+// (CheckSelect), same error envelope, same selection JSON — so the pieces of
+// that surface it reuses are exported here rather than duplicated there.
+// (The dependency points this way by necessity: client imports server, so
+// server can never import the coordinator's package.)
 
 // Exported error codes of the unified envelope, for out-of-package handlers.
 const (
-	CodeInvalidArgument  = codeInvalidArgument
-	CodeMethodNotAllowed = codeMethodNotAllowed
-	CodeUnavailable      = codeUnavailable
-	CodeInternal         = codeInternal
+	CodeInvalidArgument = codeInvalidArgument
+	CodeUnavailable     = codeUnavailable
+	CodeInternal        = codeInternal
 )
 
 // WriteJSON writes v as the standard JSON response (honoring ?pretty=1).

@@ -52,15 +52,10 @@ func (o HardenOptions) withDefaults() HardenOptions {
 // cap and a per-request deadline. A handler panic becomes a logged 500 (with
 // stack trace) instead of a killed connection — except http.ErrAbortHandler,
 // which is re-panicked so net/http aborts the connection as intended (the
-// writeJSON short-write path and fault injection rely on that).
+// writeJSON short-write path and fault injection rely on that). Every
+// podium-server mode (single node, mutable, shard, coordinator) serves
+// through it.
 func (s *Server) Hardened(opts HardenOptions) http.Handler {
-	return HardenedHandler(s, opts)
-}
-
-// HardenedHandler applies the same hardening to an arbitrary inner handler —
-// the shard coordinator fronts a Server without being one, and its fan-out
-// endpoints deserve the identical panic/body/deadline envelope.
-func HardenedHandler(inner http.Handler, opts HardenOptions) http.Handler {
 	opts = opts.withDefaults()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hw := &hardenedWriter{ResponseWriter: w}
@@ -87,7 +82,7 @@ func HardenedHandler(inner http.Handler, opts HardenOptions) http.Handler {
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		inner.ServeHTTP(hw, r)
+		s.ServeHTTP(hw, r)
 	})
 }
 

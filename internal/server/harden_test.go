@@ -52,7 +52,7 @@ func TestHardenedRecoversPanicsTo500(t *testing.T) {
 	}
 	// An unaffected route still serves.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/status", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/status", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status after panic = %d", rec.Code)
 	}
@@ -129,13 +129,13 @@ func TestHardenedCapsRequestBodies(t *testing.T) {
 	// would succeed, so the 400 proves the cap did the rejecting.
 	huge := fmt.Sprintf(`{"name":"X","properties":{"%s":1}}`, strings.Repeat("a", 500))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/users", strings.NewReader(huge)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/users", strings.NewReader(huge)))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized body answered %d, want 400", rec.Code)
 	}
 	// A normal-sized mutation still goes through.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/users", strings.NewReader(`{"name":"A"}`)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/users", strings.NewReader(`{"name":"A"}`)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("small body answered %d: %s", rec.Code, rec.Body.String())
 	}
@@ -203,7 +203,7 @@ func TestOverloadShedsWith429WhileReadsServe(t *testing.T) {
 	post := func(name string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		body := fmt.Sprintf(`{"name":%q}`, name)
-		ms.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/users", strings.NewReader(body)))
+		ms.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/users", strings.NewReader(body)))
 		return rec
 	}
 
@@ -228,7 +228,7 @@ func TestOverloadShedsWith429WhileReadsServe(t *testing.T) {
 
 	// Reads are untouched: the snapshot path never crosses the writer.
 	readRec := httptest.NewRecorder()
-	ms.ServeHTTP(readRec, httptest.NewRequest(http.MethodGet, "/api/status", nil))
+	ms.ServeHTTP(readRec, httptest.NewRequest(http.MethodGet, "/api/v1/status", nil))
 	if readRec.Code != http.StatusOK {
 		t.Fatalf("read during overload = %d", readRec.Code)
 	}
@@ -243,7 +243,7 @@ func TestOverloadShedsWith429WhileReadsServe(t *testing.T) {
 		Users int `json:"users"`
 	}
 	rec = httptest.NewRecorder()
-	ms.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/status", nil))
+	ms.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/status", nil))
 	decodeBody(t, rec, &st)
 	if st.Users != 2 {
 		t.Fatalf("users after release = %d, want 2", st.Users)

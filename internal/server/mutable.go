@@ -147,11 +147,8 @@ func NewMutableOpts(name, logPath string, cfg groups.Config, configs []NamedConf
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	post := func(h http.HandlerFunc) map[string]http.HandlerFunc {
-		return map[string]http.HandlerFunc{http.MethodPost: h}
-	}
-	ms.addRoute("users", "/api/v1/users", "/api/users", post(ms.handleAddUser), nil)
-	ms.addRoute("scores", "/api/v1/scores", "/api/scores", post(ms.handleSetScore), nil)
+	ms.Handle("users", http.MethodPost, "/api/v1/users", ms.handleAddUser)
+	ms.Handle("scores", http.MethodPost, "/api/v1/scores", ms.handleSetScore)
 	go ms.applyLoop()
 	return ms, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,6 +19,7 @@ import (
 	"podium/internal/bucketing"
 	"podium/internal/codec"
 	"podium/internal/groups"
+	"podium/internal/load"
 	"podium/internal/profile"
 	"podium/internal/repolog"
 	"podium/internal/synth"
@@ -44,7 +46,7 @@ var restartMutations = []string{
 func applyMutations(t *testing.T, ms *MutableServer, bodies []string) {
 	t.Helper()
 	for _, body := range bodies {
-		if rec := doMutable(t, ms, http.MethodPost, "/api/users", body, nil); rec.Code != http.StatusOK {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil); rec.Code != http.StatusOK {
 			t.Fatalf("add user %s: %d: %s", body, rec.Code, rec.Body.String())
 		}
 	}
@@ -52,7 +54,7 @@ func applyMutations(t *testing.T, ms *MutableServer, bodies []string) {
 
 // selectionFingerprint selects budget 3 and renders the chosen user names
 // plus the achieved score — the observable a restart must reproduce.
-func selectionFingerprint(t *testing.T, ms *MutableServer) string {
+func selectionFingerprint(t *testing.T, h http.Handler) string {
 	t.Helper()
 	var sel struct {
 		Users []struct {
@@ -60,10 +62,12 @@ func selectionFingerprint(t *testing.T, ms *MutableServer) string {
 		} `json:"users"`
 		Score float64 `json:"score"`
 	}
-	rec := doMutable(t, ms, http.MethodPost, "/api/select", `{"budget":3}`, &sel)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(`{"budget":3}`)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("select: %d: %s", rec.Code, rec.Body.String())
 	}
+	decodeBody(t, rec, &sel)
 	names := make([]string, len(sel.Users))
 	for i, u := range sel.Users {
 		names[i] = u.Name
@@ -178,6 +182,18 @@ func copyLog(t *testing.T, path string) string {
 	return dst
 }
 
+// immutableFingerprint starts an immutable server on the log at path as
+// podium-server -in does, pinned to the cuts the log committed, and returns
+// its selection fingerprint.
+func immutableFingerprint(t *testing.T, path string) string {
+	t.Helper()
+	repo, cuts, err := load.Repository(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return selectionFingerprint(t, New("immutable", repo, groups.Config{K: 3, FixedBuckets: cuts}, nil))
+}
+
 // restartFingerprint starts a server on the log at path and returns its
 // selection fingerprint.
 func restartFingerprint(t *testing.T, path string) string {
@@ -224,10 +240,11 @@ func scaleSignUps(t *testing.T) (string, []string) {
 }
 
 // After every acknowledged batch, a server started on a copy of the log
-// alone serves the live server's panel at that point: the cuts the live
-// index assigns scores with are in the log. On restartMutations "q" is
-// first bucketed from one score; on the ScaleLike(300) snapshot log the
-// first batch commits every cut the boot derived.
+// alone serves the live server's panel at that point, mutable or immutable:
+// the cuts the live index assigns scores with are in the log. On
+// restartMutations "q" is first bucketed from one score; on the
+// ScaleLike(300) snapshot log the first batch commits every cut the boot
+// derived.
 func TestMutableRestartFromLogCopy(t *testing.T) {
 	check := func(t *testing.T, path string, bodies []string) {
 		live, err := NewMutable("live", path, groups.Config{K: 3}, nil)
@@ -240,6 +257,9 @@ func TestMutableRestartFromLogCopy(t *testing.T) {
 			want := selectionFingerprint(t, live)
 			if got := restartFingerprint(t, copyLog(t, path)); got != want {
 				t.Errorf("restart after batch %d: got %s, want %s", i, got, want)
+			}
+			if got := immutableFingerprint(t, copyLog(t, path)); got != want {
+				t.Errorf("immutable server after batch %d: got %s, want %s", i, got, want)
 			}
 		}
 	}
@@ -264,7 +284,7 @@ func holdBatch(t *testing.T, ms *MutableServer, gate chan chan struct{}, bodies 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			codes[i] = doMutable(t, ms, http.MethodPost, "/api/users", body, nil).Code
+			codes[i] = doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil).Code
 		}()
 		// The first mutation parks the writer; each later one must be queued
 		// before the next is sent, so the batch keeps this order.
@@ -341,12 +361,12 @@ func TestMutableFailedSyncStopsWriter(t *testing.T) {
 	applyMutations(t, ms, restartMutations[:3])
 	before := selectionFingerprint(t, ms)
 	armed <- struct{}{}
-	if rec := doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"A","properties":{"q":0.2}}`, nil); rec.Code != http.StatusInternalServerError {
+	if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"A","properties":{"q":0.2}}`, nil); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("mutation whose sync failed answered %d: %s", rec.Code, rec.Body.String())
 	}
 	for _, m := range []struct{ path, body string }{
-		{"/api/users", `{"name":"B"}`},
-		{"/api/scores", `{"user":0,"label":"q","score":0.9}`},
+		{"/api/v1/users", `{"name":"B"}`},
+		{"/api/v1/scores", `{"user":0,"label":"q","score":0.9}`},
 	} {
 		rec := doMutable(t, ms, http.MethodPost, m.path, m.body, nil)
 		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), CodeUnavailable) || !strings.Contains(rec.Body.String(), injected.Error()) {

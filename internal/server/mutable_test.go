@@ -52,7 +52,7 @@ func TestMutableAddUserAndSelect(t *testing.T) {
 			ID     int `json:"id"`
 			Groups int `json:"groups"`
 		}
-		rec := doMutable(t, ms, http.MethodPost, "/api/users", body, &got)
+		rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, &got)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("add user: %d: %s", rec.Code, rec.Body.String())
 		}
@@ -66,7 +66,7 @@ func TestMutableAddUserAndSelect(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"users"`
 	}
-	rec := doMutable(t, ms, http.MethodPost, "/api/select", `{"budget":2}`, &sel)
+	rec := doMutable(t, ms, http.MethodPost, "/api/v1/select", `{"budget":2}`, &sel)
 	if rec.Code != http.StatusOK || len(sel.Users) != 2 {
 		t.Fatalf("select: %d, %d users", rec.Code, len(sel.Users))
 	}
@@ -74,7 +74,7 @@ func TestMutableAddUserAndSelect(t *testing.T) {
 	var st struct {
 		Users int `json:"users"`
 	}
-	doMutable(t, ms, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, ms, http.MethodGet, "/api/v1/status", "", &st)
 	if st.Users != 3 {
 		t.Fatalf("status users = %d", st.Users)
 	}
@@ -89,18 +89,18 @@ func TestMutableAddUserValidation(t *testing.T) {
 		`not json`,
 	}
 	for _, body := range cases {
-		if rec := doMutable(t, ms, http.MethodPost, "/api/users", body, nil); rec.Code != http.StatusBadRequest {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("body %q: code %d", body, rec.Code)
 		}
 	}
-	if rec := doMutable(t, ms, http.MethodGet, "/api/users", "", nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := doMutable(t, ms, http.MethodGet, "/api/v1/users", "", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatal("GET users allowed")
 	}
 	// Failed mutations must not create users.
 	var st struct {
 		Users int `json:"users"`
 	}
-	doMutable(t, ms, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, ms, http.MethodGet, "/api/v1/status", "", &st)
 	if st.Users != 0 {
 		t.Fatalf("validation failures created %d users", st.Users)
 	}
@@ -108,13 +108,13 @@ func TestMutableAddUserValidation(t *testing.T) {
 
 func TestMutableSetScoreMovesGroups(t *testing.T) {
 	ms, _ := newMutable(t)
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"A","properties":{"score prop":0.1}}`, nil)
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"B","properties":{"score prop":0.9}}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"A","properties":{"score prop":0.1}}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"B","properties":{"score prop":0.9}}`, nil)
 
 	var resp struct {
 		Status string `json:"status"`
 	}
-	rec := doMutable(t, ms, http.MethodPost, "/api/scores", `{"user":0,"label":"score prop","score":0.92}`, &resp)
+	rec := doMutable(t, ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"score prop","score":0.92}`, &resp)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("set score: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -127,7 +127,7 @@ func TestMutableSetScoreMovesGroups(t *testing.T) {
 		Subset []float64 `json:"subset"`
 		All    []float64 `json:"all"`
 	}
-	doMutable(t, ms, http.MethodGet, "/api/distribution?prop=score%20prop&users=0,1", "", &d)
+	doMutable(t, ms, http.MethodGet, "/api/v1/distribution?prop=score%20prop&users=0,1", "", &d)
 	high := len(d.All) - 1
 	if d.All[high] != 1 {
 		t.Fatalf("population distribution after update = %v", d.All)
@@ -136,11 +136,11 @@ func TestMutableSetScoreMovesGroups(t *testing.T) {
 
 func TestMutableSetScoreNewProperty(t *testing.T) {
 	ms, _ := newMutable(t)
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"A","properties":{"p":0.5}}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"A","properties":{"p":0.5}}`, nil)
 	var resp struct {
 		Status string `json:"status"`
 	}
-	rec := doMutable(t, ms, http.MethodPost, "/api/scores", `{"user":0,"label":"brand new","score":0.4}`, &resp)
+	rec := doMutable(t, ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"brand new","score":0.4}`, &resp)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("set score: %d", rec.Code)
 	}
@@ -148,7 +148,7 @@ func TestMutableSetScoreNewProperty(t *testing.T) {
 		t.Fatalf("status = %q, want new-property bucketing notice", resp.Status)
 	}
 	// The new property's bucket is queryable immediately.
-	rec = doMutable(t, ms, http.MethodGet, "/api/distribution?prop=brand%20new&users=0", "", nil)
+	rec = doMutable(t, ms, http.MethodGet, "/api/v1/distribution?prop=brand%20new&users=0", "", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("distribution on new property: %d", rec.Code)
 	}
@@ -156,13 +156,13 @@ func TestMutableSetScoreNewProperty(t *testing.T) {
 
 func TestMutableSetScoreValidation(t *testing.T) {
 	ms, _ := newMutable(t)
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"A"}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"A"}`, nil)
 	for _, body := range []string{
 		`{"user":5,"label":"p","score":0.5}`,
 		`{"user":0,"label":"p","score":2}`,
 		`{"bad json`,
 	} {
-		if rec := doMutable(t, ms, http.MethodPost, "/api/scores", body, nil); rec.Code != http.StatusBadRequest {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/scores", body, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("body %q: code %d", body, rec.Code)
 		}
 	}
@@ -174,8 +174,8 @@ func TestMutableDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"Alice","properties":{"p":0.7}}`, nil)
-	doMutable(t, ms, http.MethodPost, "/api/scores", `{"user":0,"label":"p","score":0.3}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"Alice","properties":{"p":0.7}}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"p","score":0.3}`, nil)
 	if err := ms.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMutableDurability(t *testing.T) {
 		Users      int `json:"users"`
 		Properties int `json:"properties"`
 	}
-	doMutable(t, back, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, back, http.MethodGet, "/api/v1/status", "", &st)
 	if st.Users != 1 || st.Properties != 1 {
 		t.Fatalf("restarted status = %+v", st)
 	}

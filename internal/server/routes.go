@@ -1,18 +1,17 @@
 package server
 
 // The route table: every endpoint is declared once, with its method
-// constraints, its canonical /api/v1 path and (for pre-v1 endpoints) its
-// legacy /api alias. Dispatch walks the table before falling back to the
-// embedded ServeMux, which now holds only out-of-table handlers (ad hoc test
-// routes, optional pprof). The table is also where per-route observability
-// lives: request counters by (route, method, code) and a latency histogram
-// per route, recorded by a thin wrapper around each handler.
+// constraints and its /api/v1 path. It is the only dispatcher for every
+// server mode: a mutable server and a shard coordinator register their
+// endpoints in it (Handle) rather than intercepting paths in front of it.
+// Dispatch walks the table before falling back to the embedded ServeMux,
+// which holds only out-of-table handlers (ad hoc test routes, optional
+// pprof). The table is also where per-route observability lives: request
+// counters by (route, method, code) and a latency histogram per route,
+// recorded by a thin wrapper around each handler.
 //
-// Legacy aliases serve byte-identical bodies and statuses — same handler,
-// same method rules — plus a "Deprecation: true" response header steering
-// clients to the v1 path. Path parameters ({id}) replace the manual prefix
-// trimming the campaign endpoints used to do; a path with trailing garbage
-// after a parameter no longer matches and falls through to the unified 404.
+// Path parameters ({id}) are matched whole: a path with trailing garbage
+// after a parameter does not match and falls through to the unified 404.
 
 import (
 	"context"
@@ -25,11 +24,9 @@ import (
 
 // route is one row of the table.
 type route struct {
-	name    string
-	v1      string
-	legacy  string
-	segs    []routeSeg
-	legSegs []routeSeg
+	name string
+	path string
+	segs []routeSeg
 	// handlers maps method → handler. nil means any method is accepted and
 	// any dispatches to anyMethod (index, healthz, readyz — probes send
 	// HEADs and the pre-table handlers never method-checked these).
@@ -99,18 +96,13 @@ func matchSegs(pat []routeSeg, path string) (bool, map[string]string) {
 	return true, params
 }
 
-func (rt *router) match(path string) (*route, map[string]string, bool) {
+func (rt *router) match(path string) (*route, map[string]string) {
 	for _, r := range rt.routes {
 		if ok, params := matchSegs(r.segs, path); ok {
-			return r, params, false
-		}
-		if r.legSegs != nil {
-			if ok, params := matchSegs(r.legSegs, path); ok {
-				return r, params, true
-			}
+			return r, params
 		}
 	}
-	return nil, nil, false
+	return nil, nil
 }
 
 // paramsCtxKey carries a matched route's path parameters in the request
@@ -126,26 +118,17 @@ func pathParam(r *http.Request, name string) string {
 	return ""
 }
 
-// addRoute registers one endpoint. legacy may be "" for v1-only endpoints;
-// handlers nil + any non-nil accepts every method.
-func (s *Server) addRoute(name, v1, legacy string, handlers map[string]http.HandlerFunc, any http.HandlerFunc) {
+// addRoute registers one endpoint; handlers nil + any non-nil accepts every
+// method.
+func (s *Server) addRoute(name, path string, handlers map[string]http.HandlerFunc, any http.HandlerFunc) {
 	rt := &route{
 		name:      name,
-		v1:        v1,
-		legacy:    legacy,
-		segs:      parseSegs(v1),
+		path:      path,
+		segs:      parseSegs(path),
 		handlers:  handlers,
 		anyMethod: any,
 	}
-	if legacy != "" {
-		rt.legSegs = parseSegs(legacy)
-	}
-	methods := make([]string, 0, len(handlers))
-	for m := range handlers {
-		methods = append(methods, m)
-	}
-	sort.Strings(methods)
-	rt.allow = strings.Join(methods, ", ")
+	methods := rt.setAllow()
 	if any != nil {
 		methods = []string{http.MethodGet}
 	}
@@ -153,8 +136,37 @@ func (s *Server) addRoute(name, v1, legacy string, handlers map[string]http.Hand
 	s.routes.routes = append(s.routes.routes, rt)
 }
 
-// buildRoutes declares the API surface. Mutation endpoints are appended by
-// NewMutableOpts before the server starts serving.
+// setAllow derives the route's Allow header from its handlers and returns
+// the sorted methods.
+func (rt *route) setAllow() []string {
+	methods := make([]string, 0, len(rt.handlers))
+	for m := range rt.handlers {
+		methods = append(methods, m)
+	}
+	sort.Strings(methods)
+	rt.allow = strings.Join(methods, ", ")
+	return methods
+}
+
+// Handle sets the handler for method on path, before the server starts
+// serving. On a path already in the table it replaces that method's handler
+// and keeps the route's name and metrics; a new path adds a route called
+// name. The mutable server adds its write endpoints this way and the shard
+// coordinator takes over select and campaign creation, so every server mode
+// dispatches, counts and answers 405s through the one table.
+func (s *Server) Handle(name, method, path string, h http.HandlerFunc) {
+	for _, rt := range s.routes.routes {
+		if rt.path == path {
+			rt.handlers[method] = h
+			rt.setAllow()
+			return
+		}
+	}
+	s.addRoute(name, path, map[string]http.HandlerFunc{method: h}, nil)
+}
+
+// buildRoutes declares the single-node API surface. NewMutableOpts and the
+// shard coordinator add theirs through Handle before the server serves.
 func (s *Server) buildRoutes() {
 	get := func(h http.HandlerFunc) map[string]http.HandlerFunc {
 		return map[string]http.HandlerFunc{http.MethodGet: h}
@@ -163,23 +175,23 @@ func (s *Server) buildRoutes() {
 		return map[string]http.HandlerFunc{http.MethodPost: h}
 	}
 	s.routes = &router{}
-	s.addRoute("status", "/api/v1/status", "/api/status", get(s.handleStatus), nil)
-	s.addRoute("groups", "/api/v1/groups", "/api/groups", get(s.handleGroups), nil)
-	s.addRoute("configurations", "/api/v1/configurations", "/api/configurations", get(s.handleConfigurations), nil)
-	s.addRoute("select", "/api/v1/select", "/api/select", post(s.handleSelect), nil)
-	s.addRoute("rules", "/api/v1/rules", "", get(s.handleRules), nil)
-	s.addRoute("query", "/api/v1/query", "/api/query", post(s.handleQuery), nil)
-	s.addRoute("distribution", "/api/v1/distribution", "/api/distribution", get(s.handleDistribution), nil)
-	s.addRoute("campaigns", "/api/v1/campaigns", "/api/campaigns", map[string]http.HandlerFunc{
+	s.addRoute("status", "/api/v1/status", get(s.handleStatus), nil)
+	s.addRoute("groups", "/api/v1/groups", get(s.handleGroups), nil)
+	s.addRoute("configurations", "/api/v1/configurations", get(s.handleConfigurations), nil)
+	s.addRoute("select", "/api/v1/select", post(s.handleSelect), nil)
+	s.addRoute("rules", "/api/v1/rules", get(s.handleRules), nil)
+	s.addRoute("query", "/api/v1/query", post(s.handleQuery), nil)
+	s.addRoute("distribution", "/api/v1/distribution", get(s.handleDistribution), nil)
+	s.addRoute("campaigns", "/api/v1/campaigns", map[string]http.HandlerFunc{
 		http.MethodGet:  s.handleCampaignsList,
 		http.MethodPost: s.createCampaign,
 	}, nil)
-	s.addRoute("campaign", "/api/v1/campaigns/{id}", "/api/campaigns/{id}", get(s.handleCampaignGet), nil)
-	s.addRoute("campaign-cancel", "/api/v1/campaigns/{id}/cancel", "/api/campaigns/{id}/cancel", post(s.handleCampaignCancel), nil)
-	s.addRoute("metrics", "/api/v1/metrics", "", get(s.handleMetrics), nil)
-	s.addRoute("healthz", "/healthz", "", nil, s.handleHealthz)
-	s.addRoute("readyz", "/readyz", "", nil, s.handleReadyz)
-	s.addRoute("index", "/", "", nil, s.handleIndex)
+	s.addRoute("campaign", "/api/v1/campaigns/{id}", get(s.handleCampaignGet), nil)
+	s.addRoute("campaign-cancel", "/api/v1/campaigns/{id}/cancel", post(s.handleCampaignCancel), nil)
+	s.addRoute("metrics", "/api/v1/metrics", get(s.handleMetrics), nil)
+	s.addRoute("healthz", "/healthz", nil, s.handleHealthz)
+	s.addRoute("readyz", "/readyz", nil, s.handleReadyz)
+	s.addRoute("index", "/", nil, s.handleIndex)
 	// Unmatched paths are counted under one fixed label to keep the metric's
 	// cardinality bounded no matter what clients probe for.
 	s.unmatched = newRouteMetrics(s.met, "unmatched", nil)
@@ -188,7 +200,7 @@ func (s *Server) buildRoutes() {
 // ServeHTTP implements http.Handler: route-table dispatch first, then the
 // embedded mux (test handlers, pprof), then the unified 404.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt, params, legacy := s.routes.match(r.URL.Path)
+	rt, params := s.routes.match(r.URL.Path)
 	if rt == nil {
 		if h, pat := s.mux.Handler(r); pat != "" {
 			h.ServeHTTP(w, r)
@@ -199,9 +211,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, r, http.StatusNotFound, codeNotFound, "no such endpoint %s", r.URL.Path)
 		return
-	}
-	if legacy {
-		w.Header().Set("Deprecation", "true")
 	}
 	if params != nil {
 		r = r.WithContext(context.WithValue(r.Context(), paramsCtxKey{}, params))
@@ -247,7 +256,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (rt *route) writeMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Allow", rt.allow)
 	writeError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed,
-		"method %s not allowed on %s (allow: %s)", r.Method, rt.v1, rt.allow)
+		"method %s not allowed on %s (allow: %s)", r.Method, rt.path, rt.allow)
 }
 
 // statusWriter captures the response status for the request counter.
@@ -281,17 +290,17 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// Routes returns (name, v1 path, legacy alias, allow) rows for every table
-// entry — the golden route-table test and the index page render from this,
-// so documentation cannot drift from dispatch.
-func (s *Server) Routes() [][4]string {
-	out := make([][4]string, 0, len(s.routes.routes))
+// Routes returns (name, path, allow) rows for every table entry — the
+// golden route-table test and the index page render from this, so
+// documentation cannot drift from dispatch.
+func (s *Server) Routes() [][3]string {
+	out := make([][3]string, 0, len(s.routes.routes))
 	for _, rt := range s.routes.routes {
 		allow := rt.allow
 		if rt.anyMethod != nil {
 			allow = "any"
 		}
-		out = append(out, [4]string{rt.name, rt.v1, rt.legacy, allow})
+		out = append(out, [3]string{rt.name, rt.path, allow})
 	}
 	return out
 }

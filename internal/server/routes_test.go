@@ -8,25 +8,25 @@ import (
 	"testing"
 )
 
-// TestRouteTableGolden pins the API surface: every endpoint, its canonical
-// v1 path, its legacy alias, and its method constraints. A new endpoint (or
-// a changed constraint) must update this table deliberately.
+// TestRouteTableGolden pins the API surface: every endpoint, its path, and
+// its method constraints. A new endpoint (or a changed constraint) must
+// update this table deliberately.
 func TestRouteTableGolden(t *testing.T) {
-	want := [][4]string{
-		{"status", "/api/v1/status", "/api/status", "GET"},
-		{"groups", "/api/v1/groups", "/api/groups", "GET"},
-		{"configurations", "/api/v1/configurations", "/api/configurations", "GET"},
-		{"select", "/api/v1/select", "/api/select", "POST"},
-		{"rules", "/api/v1/rules", "", "GET"},
-		{"query", "/api/v1/query", "/api/query", "POST"},
-		{"distribution", "/api/v1/distribution", "/api/distribution", "GET"},
-		{"campaigns", "/api/v1/campaigns", "/api/campaigns", "GET, POST"},
-		{"campaign", "/api/v1/campaigns/{id}", "/api/campaigns/{id}", "GET"},
-		{"campaign-cancel", "/api/v1/campaigns/{id}/cancel", "/api/campaigns/{id}/cancel", "POST"},
-		{"metrics", "/api/v1/metrics", "", "GET"},
-		{"healthz", "/healthz", "", "any"},
-		{"readyz", "/readyz", "", "any"},
-		{"index", "/", "", "any"},
+	want := [][3]string{
+		{"status", "/api/v1/status", "GET"},
+		{"groups", "/api/v1/groups", "GET"},
+		{"configurations", "/api/v1/configurations", "GET"},
+		{"select", "/api/v1/select", "POST"},
+		{"rules", "/api/v1/rules", "GET"},
+		{"query", "/api/v1/query", "POST"},
+		{"distribution", "/api/v1/distribution", "GET"},
+		{"campaigns", "/api/v1/campaigns", "GET, POST"},
+		{"campaign", "/api/v1/campaigns/{id}", "GET"},
+		{"campaign-cancel", "/api/v1/campaigns/{id}/cancel", "POST"},
+		{"metrics", "/api/v1/metrics", "GET"},
+		{"healthz", "/healthz", "any"},
+		{"readyz", "/readyz", "any"},
+		{"index", "/", "any"},
 	}
 	got := newTestServer(t).Routes()
 	if len(got) != len(want) {
@@ -59,74 +59,13 @@ func errEnvelope(t *testing.T, rec *httptest.ResponseRecorder) string {
 	return body.Error.Code
 }
 
-// TestLegacyAliasesIdentical drives every aliased endpoint through both its
-// v1 path and its legacy alias on paired fresh servers and requires
-// byte-identical bodies and statuses — the compatibility contract of the v1
-// migration. The legacy response must additionally carry Deprecation: true.
-func TestLegacyAliasesIdentical(t *testing.T) {
-	cases := []struct {
-		method, suffix, body string
-	}{
-		{http.MethodGet, "/status", ""},
-		{http.MethodGet, "/groups?limit=5", ""},
-		{http.MethodGet, "/configurations", ""},
-		{http.MethodPost, "/select", `{"budget":2}`},
-		{http.MethodPost, "/select", `{"budget":2,"feedback":{"priority":[0]}}`},
-		{http.MethodPost, "/query", `{"query":"SELECT 2 USERS"}`},
-		{http.MethodGet, "/distribution?prop=" + "avgRating%20Mexican", ""},
-		{http.MethodGet, "/campaigns", ""},
-		// Error paths must alias identically too.
-		{http.MethodPost, "/select", `{"budget":-3}`},
-		{http.MethodGet, "/campaigns/999", ""},
-		{http.MethodGet, "/campaigns/abc", ""},
-		{http.MethodDelete, "/campaigns", ""},
-	}
-	for _, tc := range cases {
-		v1 := newTestServer(t)
-		leg := newTestServer(t)
-		recV1 := doJSON(t, v1, tc.method, "/api/v1"+tc.suffix, tc.body, nil)
-		recLeg := doJSON(t, leg, tc.method, "/api"+tc.suffix, tc.body, nil)
-		if recV1.Code != recLeg.Code {
-			t.Errorf("%s %s: v1 %d vs legacy %d", tc.method, tc.suffix, recV1.Code, recLeg.Code)
-			continue
-		}
-		if recV1.Body.String() != recLeg.Body.String() {
-			t.Errorf("%s %s: bodies differ\nv1:     %s\nlegacy: %s",
-				tc.method, tc.suffix, recV1.Body.String(), recLeg.Body.String())
-		}
-		if h := recV1.Header().Get("Deprecation"); h != "" {
-			t.Errorf("%s /api/v1%s: unexpected Deprecation header %q", tc.method, tc.suffix, h)
-		}
-		if h := recLeg.Header().Get("Deprecation"); h != "true" {
-			t.Errorf("%s /api%s: Deprecation = %q, want true", tc.method, tc.suffix, h)
-		}
-	}
-}
-
-// TestLegacyCampaignCreateAliases checks the one mutating aliased endpoint:
-// campaign creation returns the same id and status on both paths (bodies are
-// compared only structurally — the campaign runs asynchronously).
-func TestLegacyCampaignCreateAliases(t *testing.T) {
-	body := `{"budget":2,"seed":3}`
-	for _, path := range []string{"/api/v1/campaigns", "/api/campaigns"} {
-		s := newTestServer(t)
-		var created struct {
-			ID int `json:"id"`
-		}
-		rec := doJSON(t, s, http.MethodPost, path, body, &created)
-		if rec.Code != http.StatusOK || created.ID != 1 {
-			t.Errorf("POST %s = %d id %d, want 200 id 1: %s", path, rec.Code, created.ID, rec.Body.String())
-		}
-	}
-}
-
 // TestMethodNotAllowed sends a wrong-method request to every constrained
 // route and requires 405 with the precise Allow header and the unified
 // envelope.
 func TestMethodNotAllowed(t *testing.T) {
 	s := newTestServer(t)
 	for _, row := range s.Routes() {
-		if row[3] == "any" {
+		if row[2] == "any" {
 			continue
 		}
 		path := strings.ReplaceAll(row[1], "{id}", "1")
@@ -135,8 +74,8 @@ func TestMethodNotAllowed(t *testing.T) {
 			t.Errorf("DELETE %s = %d, want 405", path, rec.Code)
 			continue
 		}
-		if allow := rec.Header().Get("Allow"); allow != row[3] {
-			t.Errorf("DELETE %s: Allow = %q, want %q", path, allow, row[3])
+		if allow := rec.Header().Get("Allow"); allow != row[2] {
+			t.Errorf("DELETE %s: Allow = %q, want %q", path, allow, row[2])
 		}
 		if code := errEnvelope(t, rec); code != "method_not_allowed" {
 			t.Errorf("DELETE %s: envelope code = %q", path, code)
@@ -155,6 +94,8 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 	}{
 		{http.MethodGet, "/api/v1/nope", "", 404, "not_found"},
 		{http.MethodGet, "/api/v1/status/", "", 404, "not_found"}, // trailing slash is no route
+		{http.MethodGet, "/api/status", "", 404, "not_found"},     // pre-v1 paths do not route
+		{http.MethodPost, "/api/select", `{"budget":2}`, 404, "not_found"},
 		{http.MethodPost, "/api/v1/select", `{"bogus_field":1}`, 400, "invalid_argument"},
 		{http.MethodPost, "/api/v1/select", `{bad json`, 400, "invalid_argument"},
 		{http.MethodPost, "/api/v1/select", `{"weights":"nope"}`, 400, "invalid_argument"},
@@ -385,7 +326,7 @@ func TestIndexListsRoutes(t *testing.T) {
 		t.Fatalf("index = %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"/api/v1/select", "/api/v1/metrics", "/api/v1/campaigns/{id}", "Deprecation"} {
+	for _, want := range []string{"/api/v1/select", "/api/v1/metrics", "/api/v1/campaigns/{id}"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("index page missing %q", want)
 		}

@@ -267,13 +267,13 @@ func TestSelectRuleMutationInvalidation(t *testing.T) {
 		`{"name":"C","properties":{"p":0.95}}`,
 		`{"name":"D","properties":{"q":0.55}}`,
 	} {
-		if rec := doMutable(t, ms, http.MethodPost, "/api/users", body, nil); rec.Code != http.StatusOK {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil); rec.Code != http.StatusOK {
 			t.Fatalf("seed: %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 	sel := func(rule string) []byte {
 		t.Helper()
-		rec := doMutable(t, ms, http.MethodPost, "/api/select", `{"budget":2,"rule":"`+rule+`"}`, nil)
+		rec := doMutable(t, ms, http.MethodPost, "/api/v1/select", `{"budget":2,"rule":"`+rule+`"}`, nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("select rule=%s: %d: %s", rule, rec.Code, rec.Body.String())
 		}
@@ -283,7 +283,7 @@ func TestSelectRuleMutationInvalidation(t *testing.T) {
 	for _, rl := range rules {
 		sel(rl)
 	}
-	if rec := doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"E","properties":{"p":0.4,"q":0.6}}`, nil); rec.Code != http.StatusOK {
+	if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"E","properties":{"p":0.4,"q":0.6}}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("late user add: %d: %s", rec.Code, rec.Body.String())
 	}
 	for _, rl := range rules {

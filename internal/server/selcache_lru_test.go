@@ -18,7 +18,7 @@ func TestSelectCacheLRUEviction(t *testing.T) {
 
 	s := newTestServer(t)
 	sel := func(body string) *bytes.Buffer {
-		rec := doJSON(t, s, http.MethodPost, "/api/select", body, nil)
+		rec := doJSON(t, s, http.MethodPost, "/api/v1/select", body, nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("select %s: %d: %s", body, rec.Code, rec.Body.String())
 		}
@@ -60,8 +60,8 @@ func TestSelectCacheEvictionMetric(t *testing.T) {
 	maxSelCacheEntries = 1
 
 	s := newTestServer(t)
-	doJSON(t, s, http.MethodPost, "/api/select", `{"budget":1}`, nil)
-	doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
+	doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":1}`, nil)
+	doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
 
 	rec := doJSON(t, s, http.MethodGet, "/api/v1/metrics", "", nil)
 	if rec.Code != http.StatusOK {

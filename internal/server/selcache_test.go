@@ -20,8 +20,8 @@ import (
 func TestSelectCachePrettyVariant(t *testing.T) {
 	s := newTestServer(t)
 
-	compact := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
-	pretty := doJSON(t, s, http.MethodPost, "/api/select?pretty=1", `{"budget":2}`, nil)
+	compact := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
+	pretty := doJSON(t, s, http.MethodPost, "/api/v1/select?pretty=1", `{"budget":2}`, nil)
 	if compact.Code != http.StatusOK || pretty.Code != http.StatusOK {
 		t.Fatalf("select codes: compact %d, pretty %d", compact.Code, pretty.Code)
 	}
@@ -45,8 +45,8 @@ func TestSelectCachePrettyVariant(t *testing.T) {
 
 	// Repeats of each shape are cache hits serving the same bytes.
 	before := s.SelectCacheStats()
-	c2 := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
-	p2 := doJSON(t, s, http.MethodPost, "/api/select?pretty=1", `{"budget":2}`, nil)
+	c2 := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
+	p2 := doJSON(t, s, http.MethodPost, "/api/v1/select?pretty=1", `{"budget":2}`, nil)
 	after := s.SelectCacheStats()
 	if !bytes.Equal(c2.Body.Bytes(), compact.Body.Bytes()) || !bytes.Equal(p2.Body.Bytes(), pretty.Body.Bytes()) {
 		t.Fatal("repeat requests served different bytes")
@@ -69,13 +69,13 @@ func TestSelectCacheWatermark(t *testing.T) {
 		`{"name":"C","properties":{"p":0.95}}`,
 		`{"name":"D","properties":{"q":0.55}}`,
 	} {
-		if rec := doMutable(t, ms, http.MethodPost, "/api/users", body, nil); rec.Code != http.StatusOK {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil); rec.Code != http.StatusOK {
 			t.Fatalf("seed: %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 	sel := func() []byte {
 		t.Helper()
-		rec := doMutable(t, ms, http.MethodPost, "/api/select", `{"budget":2}`, nil)
+		rec := doMutable(t, ms, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("select: %d: %s", rec.Code, rec.Body.String())
 		}
@@ -99,7 +99,7 @@ func TestSelectCacheWatermark(t *testing.T) {
 	// publishes a new epoch, but nothing selection-relevant moved — the
 	// cached entry must ride through.
 	epochBefore := ms.Snapshot().Epoch()
-	if rec := doMutable(t, ms, http.MethodPost, "/api/scores", `{"user":0,"label":"p","score":0.05}`, nil); rec.Code != http.StatusOK {
+	if rec := doMutable(t, ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"p","score":0.05}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("same-bucket write: %d: %s", rec.Code, rec.Body.String())
 	}
 	if e := ms.Snapshot().Epoch(); e == epochBefore {
@@ -117,10 +117,10 @@ func TestSelectCacheWatermark(t *testing.T) {
 	// Selection-relevant writes: a brand-new property (bucketed live — a
 	// reshape) and a new user (new adjacency rows). The watermark advances
 	// and the next select must recompute.
-	if rec := doMutable(t, ms, http.MethodPost, "/api/scores", `{"user":0,"label":"r","score":0.8}`, nil); rec.Code != http.StatusOK {
+	if rec := doMutable(t, ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"r","score":0.8}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("new-property write: %d: %s", rec.Code, rec.Body.String())
 	}
-	if rec := doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"E","properties":{"p":0.4,"q":0.6}}`, nil); rec.Code != http.StatusOK {
+	if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"E","properties":{"p":0.4,"q":0.6}}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("late user add: %d: %s", rec.Code, rec.Body.String())
 	}
 	moved := sel()
@@ -150,8 +150,8 @@ func TestSelectCacheWatermark(t *testing.T) {
 func TestSelectCacheFeedback(t *testing.T) {
 	s := newTestServer(t)
 
-	free := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
-	fb := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2,"feedback":{"priority":[0],"standard_explicit":true}}`, nil)
+	free := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
+	fb := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2,"feedback":{"priority":[0],"standard_explicit":true}}`, nil)
 	if free.Code != http.StatusOK || fb.Code != http.StatusOK {
 		t.Fatalf("codes: free %d, feedback %d", free.Code, fb.Code)
 	}
@@ -160,7 +160,7 @@ func TestSelectCacheFeedback(t *testing.T) {
 	}
 
 	before := s.SelectCacheStats()
-	fb2 := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2,"feedback":{"priority":[0],"standard_explicit":true}}`, nil)
+	fb2 := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2,"feedback":{"priority":[0],"standard_explicit":true}}`, nil)
 	after := s.SelectCacheStats()
 	if !bytes.Equal(fb2.Body.Bytes(), fb.Body.Bytes()) {
 		t.Fatal("repeat feedback select changed bytes")
@@ -170,14 +170,14 @@ func TestSelectCacheFeedback(t *testing.T) {
 	}
 
 	// A different restriction is a different entry, not a wrong answer.
-	other := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2,"feedback":{"must_not":[0]}}`, nil)
+	other := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2,"feedback":{"must_not":[0]}}`, nil)
 	if other.Code != http.StatusOK {
 		t.Fatalf("must_not select: %d: %s", other.Code, other.Body.String())
 	}
 
 	// Invalid feedback: 400 every time, never cached into a poisoned entry.
 	for i := 0; i < 2; i++ {
-		if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2,"feedback":{"priority":[999]}}`, nil); rec.Code != http.StatusBadRequest {
+		if rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2,"feedback":{"priority":[999]}}`, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("invalid feedback attempt %d: code %d", i, rec.Code)
 		}
 	}
@@ -189,8 +189,8 @@ func TestSelectCacheDisabled(t *testing.T) {
 	s := newTestServer(t)
 	s.SetSelectCacheEnabled(false)
 	before := s.SelectCacheStats()
-	a := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
-	b := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
+	a := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
+	b := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil)
 	if a.Code != http.StatusOK || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
 		t.Fatalf("disabled-cache selects: codes %d/%d, identical=%t", a.Code, b.Code, bytes.Equal(a.Body.Bytes(), b.Body.Bytes()))
 	}
@@ -199,7 +199,7 @@ func TestSelectCacheDisabled(t *testing.T) {
 		t.Fatalf("disabled cache still counted traffic: %+v → %+v", before, after)
 	}
 	s.SetSelectCacheEnabled(true)
-	if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), a.Body.Bytes()) {
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), a.Body.Bytes()) {
 		t.Fatal("re-enabled cache diverged from the computed response")
 	}
 }

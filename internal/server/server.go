@@ -342,38 +342,60 @@ type subsetGroupJSON struct {
 	Covered  bool    `json:"covered"`
 }
 
-func parseWeights(s string) (groups.WeightScheme, error) {
-	switch strings.ToLower(s) {
+// SelectParams is a selection's parameters as CheckSelect accepted them.
+type SelectParams struct {
+	Weights  groups.WeightScheme
+	Coverage groups.CoverageScheme
+	Rule     *core.Rule
+	Budget   int
+}
+
+// CheckSelect is the one check on a selection's parameters: the select
+// handler, campaign creation and the shard coordinator all run it, so they
+// accept and refuse the same requests with the same messages. Weights
+// ("", "iden", "lbs", "ebs"; empty selects LBS), coverage ("", "single",
+// "prop"; empty selects Single) and rule (a registered name, as GET
+// /api/v1/rules lists them; empty selects the default coverage rule) parse
+// case-insensitively, and a budget below 1 becomes 8. It refuses EBS under a
+// rule without exact rank arithmetic, feedback (fb, nil for none) under any
+// rule but the default, and, through CheckFinite, a selection whose response
+// would carry a non-finite number. Callers answer an error with 400.
+func (sn *Snapshot) CheckSelect(weights, coverage, rule string, budget int, fb *core.Feedback) (SelectParams, error) {
+	var p SelectParams
+	switch strings.ToLower(weights) {
 	case "", "lbs":
-		return groups.WeightLBS, nil
+		p.Weights = groups.WeightLBS
 	case "iden":
-		return groups.WeightIden, nil
+		p.Weights = groups.WeightIden
 	case "ebs":
-		return groups.WeightEBS, nil
+		p.Weights = groups.WeightEBS
+	default:
+		return p, fmt.Errorf("unknown weight scheme %q", weights)
 	}
-	return 0, fmt.Errorf("unknown weight scheme %q", s)
-}
-
-func parseCoverage(s string) (groups.CoverageScheme, error) {
-	switch strings.ToLower(s) {
+	switch strings.ToLower(coverage) {
 	case "", "single":
-		return groups.CoverSingle, nil
+		p.Coverage = groups.CoverSingle
 	case "prop":
-		return groups.CoverProp, nil
+		p.Coverage = groups.CoverProp
+	default:
+		return p, fmt.Errorf("unknown coverage scheme %q", coverage)
 	}
-	return 0, fmt.Errorf("unknown coverage scheme %q", s)
-}
-
-// parseRule resolves a request rule string against the core registry
-// (case-insensitive; empty selects the default coverage rule). The error
-// lists the registered rules — clients discover the same set via
-// GET /api/v1/rules.
-func parseRule(s string) (*core.Rule, error) {
-	r, err := core.LookupRule(strings.ToLower(s))
+	r, err := core.LookupRule(strings.ToLower(rule))
 	if err != nil {
-		return nil, fmt.Errorf("unknown rule %q (registered rules: %s)", s, strings.Join(core.RuleNames(), ", "))
+		return p, fmt.Errorf("unknown rule %q (registered rules: %s)", rule, strings.Join(core.RuleNames(), ", "))
 	}
-	return r, nil
+	p.Rule = r
+	if p.Weights == groups.WeightEBS && !r.EBSCompatible() {
+		return p, fmt.Errorf("rule %q does not support EBS weights (exact rank arithmetic implements only the coverage objective)", r.Name())
+	}
+	if fb != nil && !r.IsDefault() {
+		return p, fmt.Errorf("feedback refinement supports only the default coverage rule (got rule %q)", r.Name())
+	}
+	p.Budget = budget
+	if p.Budget <= 0 {
+		p.Budget = 8
+	}
+	return p, sn.CheckFinite(p.Weights, p.Coverage, p.Budget, fb)
 }
 
 // ClampParallelism bounds a request's worker count to [0, NumCPU]: negative
@@ -431,48 +453,21 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Budget <= 0 {
-		req.Budget = 8
-	}
 	if req.TopK <= 0 {
 		req.TopK = 200
 	}
-	ws, err := parseWeights(req.Weights)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
-		return
-	}
-	cs, err := parseCoverage(req.Coverage)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
-		return
-	}
-	rule, err := parseRule(req.Rule)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
-		return
-	}
-	if ws == groups.WeightEBS && !rule.EBSCompatible() {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument,
-			"rule %q does not support EBS weights (exact rank arithmetic implements only the coverage objective)", rule.Name())
-		return
-	}
-	if !req.Feedback.empty() && !rule.IsDefault() {
-		writeError(w, r, http.StatusBadRequest, codeInvalidArgument,
-			"feedback refinement supports only the default coverage rule (got rule %q)", rule.Name())
-		return
-	}
-	dsp.End()
-	sn := s.Snapshot()
 	var fb *core.Feedback
 	if !req.Feedback.empty() {
 		cf := req.Feedback.toCore()
 		fb = &cf
 	}
-	if err := sn.CheckFinite(ws, cs, req.Budget, fb); err != nil {
+	sn := s.Snapshot()
+	p, err := sn.CheckSelect(req.Weights, req.Coverage, req.Rule, req.Budget, fb)
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
+	dsp.End()
 	opt := core.Options{Parallelism: ClampParallelism(req.Parallelism)}
 	var tim *core.StageTimings
 	if s.obsEnabled() || sp != nil {
@@ -485,7 +480,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			// Traced requests are diagnostic: they want the real per-stage
 			// span tree, which a pre-marshaled cache hit cannot produce.
 			// They compute below.
-			s.selCache.noteBypass(rule.Name())
+			s.selCache.noteBypass(p.Rule.Name())
 		} else {
 			// Cross-epoch watermark-keyed path (selcache.go): the response is
 			// served pre-marshaled for as long as no selection-relevant
@@ -495,11 +490,11 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			// responses are distinct pre-marshaled entries — and the
 			// canonicalized feedback restriction.
 			pretty := r.URL.Query().Get("pretty") == "1"
-			k := selCacheKey{ws: ws, cs: cs, budget: req.Budget, topK: req.TopK, rule: rule.Name(), pretty: pretty}
+			k := selCacheKey{ws: p.Weights, cs: p.Coverage, budget: p.Budget, topK: req.TopK, rule: p.Rule.Name(), pretty: pretty}
 			if fb != nil {
 				k.fb = feedbackCacheKey(req.Feedback)
 			}
-			data, err := s.selCache.respond(sn, k, rule, fb, opt)
+			data, err := s.selCache.respond(sn, k, p.Rule, fb, opt)
 			s.observeEngine(tim)
 			if err != nil {
 				writeSelectError(w, r, fb != nil, err)
@@ -511,7 +506,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Uncached: traced selects, and every select while the cache is off.
-	resp, err := sn.buildSelect(ws, cs, req.Budget, req.TopK, rule, fb, opt, sp)
+	resp, err := sn.buildSelect(p.Weights, p.Coverage, p.Budget, req.TopK, p.Rule, fb, opt, sp)
 	s.observeEngine(tim)
 	if err != nil {
 		writeSelectError(w, r, fb != nil, err)
@@ -694,12 +689,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	// The API table renders from the live route table so this page cannot
 	// drift from dispatch.
 	for _, row := range s.Routes() {
-		legacy := row[2]
-		if legacy == "" {
-			legacy = "—"
-		}
-		fmt.Fprintf(w, "<tr><td>%s</td><td><code>%s</code></td><td><code>%s</code></td><td>%s</td></tr>\n",
-			html.EscapeString(row[0]), html.EscapeString(row[1]), html.EscapeString(legacy), html.EscapeString(row[3]))
+		fmt.Fprintf(w, "<tr><td>%s</td><td><code>%s</code></td><td>%s</td></tr>\n",
+			html.EscapeString(row[0]), html.EscapeString(row[1]), html.EscapeString(row[2]))
 	}
 	fmt.Fprint(w, indexHTMLTail)
 }
@@ -712,13 +703,12 @@ table{border-collapse:collapse}td,th{border:1px solid #ccc;padding:.2em .6em;tex
 <h1>Podium — diverse user selection</h1>
 <p>Dataset <b>%s</b>: %d users, %d properties, %d groups.</p>
 <h2>API</h2>
-<p>Canonical paths live under <code>/api/v1</code>; pre-v1 aliases still work
-and answer with a <code>Deprecation: true</code> header. Selection endpoints
-accept <code>X-Podium-Trace: 1</code> (or <code>?trace=1</code>) to attach a
-span tree to the response; <code>GET /api/v1/metrics</code> serves Prometheus
-text exposition.</p>
+<p>API paths live under <code>/api/v1</code>. Selection endpoints accept
+<code>X-Podium-Trace: 1</code> (or <code>?trace=1</code>) to attach a span
+tree to the response; <code>GET /api/v1/metrics</code> serves Prometheus text
+exposition.</p>
 <table>
-<tr><th>route</th><th>path</th><th>legacy alias</th><th>methods</th></tr>
+<tr><th>route</th><th>path</th><th>methods</th></tr>
 `
 
 const indexHTMLTail = `</table>

@@ -49,14 +49,14 @@ func doJSON(t *testing.T, s *Server, method, path, body string, out interface{})
 func TestStatus(t *testing.T) {
 	s := newTestServer(t)
 	var got map[string]interface{}
-	rec := doJSON(t, s, http.MethodGet, "/api/status", "", &got)
+	rec := doJSON(t, s, http.MethodGet, "/api/v1/status", "", &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	if got["users"].(float64) != 5 || got["groups"].(float64) != 16 {
 		t.Fatalf("status = %v", got)
 	}
-	if rec := doJSON(t, s, http.MethodPost, "/api/status", "", nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/status", "", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST status = %d", rec.Code)
 	}
 }
@@ -64,14 +64,14 @@ func TestStatus(t *testing.T) {
 func TestGroupsEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	var got []map[string]interface{}
-	rec := doJSON(t, s, http.MethodGet, "/api/groups?limit=3", "", &got)
+	rec := doJSON(t, s, http.MethodGet, "/api/v1/groups?limit=3", "", &got)
 	if rec.Code != http.StatusOK || len(got) != 3 {
 		t.Fatalf("groups: code %d, %d rows", rec.Code, len(got))
 	}
 	if got[0]["size"].(float64) != 3 {
 		t.Fatalf("largest group size = %v", got[0]["size"])
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/api/groups?limit=nope", "", nil); rec.Code != http.StatusBadRequest {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/groups?limit=nope", "", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad limit accepted: %d", rec.Code)
 	}
 }
@@ -85,7 +85,7 @@ func TestSelectDefault(t *testing.T) {
 		} `json:"users"`
 		Score float64 `json:"score"`
 	}
-	rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, &got)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("select = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -107,7 +107,7 @@ func TestSelectWithFeedback(t *testing.T) {
 		PriorityScore float64 `json:"priority_score"`
 	}
 	body := `{"budget":1,"feedback":{"priority":[0],"standard_explicit":true}}`
-	rec := doJSON(t, s, http.MethodPost, "/api/select", body, &got)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/select", body, &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("select = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -129,14 +129,14 @@ func TestSelectNamedConfig(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"users"`
 	}
-	rec := doJSON(t, s, http.MethodPost, "/api/select", `{"config":"Summer Pavilion"}`, &got)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"config":"Summer Pavilion"}`, &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("select = %d: %s", rec.Code, rec.Body.String())
 	}
 	if len(got.Users) != 2 {
 		t.Fatalf("users = %+v", got.Users)
 	}
-	if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"config":"nope"}`, nil); rec.Code != http.StatusBadRequest {
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"config":"nope"}`, nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown config accepted: %d", rec.Code)
 	}
 }
@@ -151,11 +151,11 @@ func TestSelectValidation(t *testing.T) {
 		`not json`,
 	}
 	for _, body := range cases {
-		if rec := doJSON(t, s, http.MethodPost, "/api/select", body, nil); rec.Code != http.StatusBadRequest {
+		if rec := doJSON(t, s, http.MethodPost, "/api/v1/select", body, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("body %q: code %d, want 400", body, rec.Code)
 		}
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/api/select", "", nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/select", "", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatal("GET select allowed")
 	}
 }
@@ -168,7 +168,7 @@ func TestSelectAllSchemes(t *testing.T) {
 			var got struct {
 				Users []struct{} `json:"users"`
 			}
-			rec := doJSON(t, s, http.MethodPost, "/api/select", body, &got)
+			rec := doJSON(t, s, http.MethodPost, "/api/v1/select", body, &got)
 			if rec.Code != http.StatusOK || len(got.Users) != 2 {
 				t.Fatalf("%s/%s: code %d users %d", ws, cs, rec.Code, len(got.Users))
 			}
@@ -183,7 +183,7 @@ func TestDistributionEndpoint(t *testing.T) {
 		All     []float64 `json:"all"`
 		Subset  []float64 `json:"subset"`
 	}
-	path := "/api/distribution?prop=avgRating%20Mexican&users=0,4"
+	path := "/api/v1/distribution?prop=avgRating%20Mexican&users=0,4"
 	rec := doJSON(t, s, http.MethodGet, path, "", &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("distribution = %d: %s", rec.Code, rec.Body.String())
@@ -194,10 +194,10 @@ func TestDistributionEndpoint(t *testing.T) {
 	if got.Subset[2] != 1 {
 		t.Fatalf("subset = %v, want all mass in the high bucket", got.Subset)
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/api/distribution?prop=nope", "", nil); rec.Code != http.StatusNotFound {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/distribution?prop=nope", "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown property: code %d", rec.Code)
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/api/distribution?prop=avgRating%20Mexican&users=99", "", nil); rec.Code != http.StatusBadRequest {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/distribution?prop=avgRating%20Mexican&users=99", "", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad user accepted: code %d", rec.Code)
 	}
 }
@@ -209,7 +209,7 @@ func TestIndexPage(t *testing.T) {
 		t.Fatalf("index = %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"Podium", "paper-example", "/api/select"} {
+	for _, want := range []string{"Podium", "paper-example", "/api/v1/select"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("index page missing %q", want)
 		}
@@ -229,7 +229,7 @@ func TestQueryEndpoint(t *testing.T) {
 		StandardScore float64 `json:"standard_score"`
 	}
 	body := `{"query":"SELECT 2 USERS WHERE HAS \"avgRating Mexican\" DIVERSIFY BY \"livesIn Tokyo\", \"livesIn NYC\", \"livesIn Bali\", \"livesIn Paris\""}`
-	rec := doJSON(t, s, http.MethodPost, "/api/query", body, &got)
+	rec := doJSON(t, s, http.MethodPost, "/api/v1/query", body, &got)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -251,11 +251,11 @@ func TestQueryEndpointValidation(t *testing.T) {
 		`not json`,
 	}
 	for _, body := range cases {
-		if rec := doJSON(t, s, http.MethodPost, "/api/query", body, nil); rec.Code != http.StatusBadRequest {
+		if rec := doJSON(t, s, http.MethodPost, "/api/v1/query", body, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("body %q: code %d, want 400", body, rec.Code)
 		}
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/api/query", "", nil); rec.Code != http.StatusMethodNotAllowed {
+	if rec := doJSON(t, s, http.MethodGet, "/api/v1/query", "", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatal("GET query allowed")
 	}
 }
@@ -269,7 +269,7 @@ func TestConcurrentSelections(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			for i := 0; i < 20; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/api/select",
+				req := httptest.NewRequest(http.MethodPost, "/api/v1/select",
 					strings.NewReader(`{"budget":2}`))
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, req)
@@ -291,7 +291,7 @@ func TestConcurrentSelections(t *testing.T) {
 func TestConfigurationsEndpoint(t *testing.T) {
 	s := newTestServer(t)
 	var got []NamedConfig
-	rec := doJSON(t, s, http.MethodGet, "/api/configurations", "", &got)
+	rec := doJSON(t, s, http.MethodGet, "/api/v1/configurations", "", &got)
 	if rec.Code != http.StatusOK || len(got) != 1 || got[0].Name != "Summer Pavilion" {
 		t.Fatalf("configurations = %+v (code %d)", got, rec.Code)
 	}
@@ -300,13 +300,13 @@ func TestConfigurationsEndpoint(t *testing.T) {
 func TestSelectParallelismInvariant(t *testing.T) {
 	s := newTestServer(t)
 	var seq, par selectResponse
-	if rec := doJSON(t, s, http.MethodPost, "/api/select",
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/select",
 		`{"budget":3,"weights":"LBS","coverage":"Single"}`, &seq); rec.Code != http.StatusOK {
 		t.Fatalf("sequential select: %d %s", rec.Code, rec.Body.String())
 	}
 	// A worker count far above NumCPU is clamped, not rejected, and the
 	// selection is identical to the sequential one.
-	if rec := doJSON(t, s, http.MethodPost, "/api/select",
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/select",
 		`{"budget":3,"weights":"LBS","coverage":"Single","parallelism":64}`, &par); rec.Code != http.StatusOK {
 		t.Fatalf("parallel select: %d %s", rec.Code, rec.Body.String())
 	}

@@ -15,11 +15,10 @@ import (
 // pre-built, and per-epoch memoization of the diversification tables that
 // the read path would otherwise recompute per request. Snapshots are
 // published through the server's atomic pointer; once published, nothing in
-// a snapshot is ever mutated, so any number of /api/select, /api/query,
-// /api/groups, /api/distribution and /api/status requests proceed lock-free
-// against the epoch they loaded — a mutation batch being applied
-// concurrently only ever touches the writer's private clone of the next
-// epoch.
+// a snapshot is ever mutated, so any number of select, query, groups,
+// distribution and status requests proceed lock-free against the epoch they
+// loaded — a mutation batch being applied concurrently only ever touches the
+// writer's private clone of the next epoch.
 type Snapshot struct {
 	epoch uint64
 	repo  *profile.Repository
@@ -46,7 +45,7 @@ type Snapshot struct {
 	budgeted atomic.Int32
 
 	// topBySize memoizes the full size-descending group order behind
-	// /api/groups, an O(|𝒢| log |𝒢|) sort the pre-snapshot server paid per
+	// /api/v1/groups, an O(|𝒢| log |𝒢|) sort the pre-snapshot server paid per
 	// request.
 	topOnce   sync.Once
 	topBySize []groups.GroupID

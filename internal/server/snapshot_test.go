@@ -69,11 +69,11 @@ func TestSnapshotInstanceMemoBounded(t *testing.T) {
 func TestSelectNegativeParallelism(t *testing.T) {
 	s := newTestServer(t)
 	var seq, neg selectResponse
-	if rec := doJSON(t, s, http.MethodPost, "/api/select",
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/select",
 		`{"budget":3}`, &seq); rec.Code != http.StatusOK {
 		t.Fatalf("sequential select: %d %s", rec.Code, rec.Body.String())
 	}
-	if rec := doJSON(t, s, http.MethodPost, "/api/select",
+	if rec := doJSON(t, s, http.MethodPost, "/api/v1/select",
 		`{"budget":3,"parallelism":-7}`, &neg); rec.Code != http.StatusOK {
 		t.Fatalf("negative parallelism rejected: %d %s", rec.Code, rec.Body.String())
 	}
@@ -89,11 +89,11 @@ func TestSelectNegativeParallelism(t *testing.T) {
 
 func TestWriteJSONCompactAndPretty(t *testing.T) {
 	s := newTestServer(t)
-	compact := doJSON(t, s, http.MethodGet, "/api/status", "", nil)
+	compact := doJSON(t, s, http.MethodGet, "/api/v1/status", "", nil)
 	if body := compact.Body.String(); strings.Contains(strings.TrimRight(body, "\n"), "\n") {
 		t.Fatalf("default response is not compact:\n%s", body)
 	}
-	pretty := doJSON(t, s, http.MethodGet, "/api/status?pretty=1", "", nil)
+	pretty := doJSON(t, s, http.MethodGet, "/api/v1/status?pretty=1", "", nil)
 	if body := pretty.Body.String(); !strings.Contains(body, "\n  ") {
 		t.Fatalf("?pretty=1 response is not indented:\n%s", body)
 	}
@@ -115,19 +115,19 @@ func TestWriteJSONEncodeErrorIs500(t *testing.T) {
 }
 
 // TestSnapshotEpochAdvances: every mutation batch publishes a fresh epoch,
-// visible in /api/status.
+// visible in /api/v1/status.
 func TestSnapshotEpochAdvances(t *testing.T) {
 	ms, _ := newMutable(t)
 	var st struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	doMutable(t, ms, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, ms, http.MethodGet, "/api/v1/status", "", &st)
 	if st.Epoch != 0 {
 		t.Fatalf("initial epoch = %d", st.Epoch)
 	}
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"A","properties":{"p":0.5}}`, nil)
-	doMutable(t, ms, http.MethodPost, "/api/scores", `{"user":0,"label":"p","score":0.6}`, nil)
-	doMutable(t, ms, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"A","properties":{"p":0.5}}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"p","score":0.6}`, nil)
+	doMutable(t, ms, http.MethodGet, "/api/v1/status", "", &st)
 	if st.Epoch != 2 {
 		t.Fatalf("epoch after two serialized mutations = %d, want 2", st.Epoch)
 	}
@@ -204,12 +204,12 @@ func TestSerializedHistoryMatchesDirectIncremental(t *testing.T) {
 				props[i] = fmt.Sprintf("%q:%s", parts[0], parts[1])
 			}
 			body := fmt.Sprintf(`{"name":%q,"properties":{%s}}`, o.addUser, strings.Join(props, ","))
-			if rec := doMutable(t, ms, http.MethodPost, "/api/users", body, nil); rec.Code != http.StatusOK {
+			if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil); rec.Code != http.StatusOK {
 				t.Fatalf("add user: %d %s", rec.Code, rec.Body.String())
 			}
 		} else {
 			body := fmt.Sprintf(`{"user":%d,"label":%q,"score":%g}`, o.user, o.label, o.score)
-			if rec := doMutable(t, ms, http.MethodPost, "/api/scores", body, nil); rec.Code != http.StatusOK {
+			if rec := doMutable(t, ms, http.MethodPost, "/api/v1/scores", body, nil); rec.Code != http.StatusOK {
 				t.Fatalf("set score: %d %s", rec.Code, rec.Body.String())
 			}
 		}
@@ -222,7 +222,7 @@ func TestSerializedHistoryMatchesDirectIncremental(t *testing.T) {
 
 		var got selectResponse
 		body := fmt.Sprintf(`{"budget":%d}`, budget)
-		if rec := doMutable(t, ms, http.MethodPost, "/api/select", body, &got); rec.Code != http.StatusOK {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/select", body, &got); rec.Code != http.StatusOK {
 			t.Fatalf("select: %d %s", rec.Code, rec.Body.String())
 		}
 		if len(got.Users) != len(want.Users) {
@@ -260,7 +260,7 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 	for i := 0; i < seedUsers; i++ {
 		body := fmt.Sprintf(`{"name":"u%d","properties":{"propA":%g,"propB":%g}}`,
 			i, float64(i%10)/10, float64((i*3)%10)/10)
-		if rec := doMutable(t, ms, http.MethodPost, "/api/users", body, nil); rec.Code != http.StatusOK {
+		if rec := doMutable(t, ms, http.MethodPost, "/api/v1/users", body, nil); rec.Code != http.StatusOK {
 			t.Fatalf("seed user: %d %s", rec.Code, rec.Body.String())
 		}
 	}
@@ -279,7 +279,7 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				var sel selectResponse
-				rec := doReq(ms, http.MethodPost, "/api/select", `{"budget":3}`)
+				rec := doReq(ms, http.MethodPost, "/api/v1/select", `{"budget":3}`)
 				if rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("reader %d: select %d: %s", w, rec.Code, rec.Body.String())
 					return
@@ -300,11 +300,11 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 					errs <- fmt.Errorf("reader %d: %d users, score %v", w, len(sel.Users), sel.Score)
 					return
 				}
-				if rec := doReq(ms, http.MethodGet, "/api/groups?limit=5", ""); rec.Code != http.StatusOK {
+				if rec := doReq(ms, http.MethodGet, "/api/v1/groups?limit=5", ""); rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("reader %d: groups %d", w, rec.Code)
 					return
 				}
-				if rec := doReq(ms, http.MethodGet, "/api/status", ""); rec.Code != http.StatusOK {
+				if rec := doReq(ms, http.MethodGet, "/api/v1/status", ""); rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("reader %d: status %d", w, rec.Code)
 					return
 				}
@@ -320,11 +320,11 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 				if i%5 == 0 {
 					body := fmt.Sprintf(`{"name":"w%d-%d","properties":{"propA":%g}}`,
 						w, i, float64(i%10)/10)
-					rec = doReq(ms, http.MethodPost, "/api/users", body)
+					rec = doReq(ms, http.MethodPost, "/api/v1/users", body)
 				} else {
 					body := fmt.Sprintf(`{"user":%d,"label":"propB","score":%g}`,
 						(w*7+i)%seedUsers, float64(i%11)/10)
-					rec = doReq(ms, http.MethodPost, "/api/scores", body)
+					rec = doReq(ms, http.MethodPost, "/api/v1/scores", body)
 				}
 				if rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("writer %d: %d: %s", w, rec.Code, rec.Body.String())
@@ -343,7 +343,7 @@ func TestConcurrentReadsAndMutations(t *testing.T) {
 	var st struct {
 		Users int `json:"users"`
 	}
-	doMutable(t, ms, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, ms, http.MethodGet, "/api/v1/status", "", &st)
 	wantUsers := seedUsers + writers*(perWorker/5)
 	if st.Users != wantUsers {
 		t.Fatalf("final users = %d, want %d", st.Users, wantUsers)
@@ -375,7 +375,7 @@ func TestBatchWindowCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body := fmt.Sprintf(`{"name":"c%d","properties":{"p":%g}}`, i, float64(i)/20)
-			doReq(ms, http.MethodPost, "/api/users", body)
+			doReq(ms, http.MethodPost, "/api/v1/users", body)
 		}(i)
 	}
 	wg.Wait()
@@ -389,7 +389,7 @@ func TestBatchWindowCoalesces(t *testing.T) {
 	var st struct {
 		Users int `json:"users"`
 	}
-	doMutable(t, ms, http.MethodGet, "/api/status", "", &st)
+	doMutable(t, ms, http.MethodGet, "/api/v1/status", "", &st)
 	if st.Users != n {
 		t.Fatalf("users = %d, want %d", st.Users, n)
 	}
@@ -399,14 +399,14 @@ func TestBatchWindowCoalesces(t *testing.T) {
 // reads keep serving the last epoch.
 func TestCloseRejectsNewMutations(t *testing.T) {
 	ms, _ := newMutable(t)
-	doMutable(t, ms, http.MethodPost, "/api/users", `{"name":"A","properties":{"p":0.5}}`, nil)
+	doMutable(t, ms, http.MethodPost, "/api/v1/users", `{"name":"A","properties":{"p":0.5}}`, nil)
 	if err := ms.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rec := doReq(ms, http.MethodPost, "/api/scores", `{"user":0,"label":"p","score":0.9}`); rec.Code != http.StatusServiceUnavailable {
+	if rec := doReq(ms, http.MethodPost, "/api/v1/scores", `{"user":0,"label":"p","score":0.9}`); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("mutation after Close: %d, want 503", rec.Code)
 	}
-	if rec := doReq(ms, http.MethodGet, "/api/status", ""); rec.Code != http.StatusOK {
+	if rec := doReq(ms, http.MethodGet, "/api/v1/status", ""); rec.Code != http.StatusOK {
 		t.Fatalf("read after Close: %d", rec.Code)
 	}
 	if err := ms.Close(); err != nil {

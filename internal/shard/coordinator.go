@@ -12,20 +12,20 @@ import (
 
 	"podium/internal/client"
 	"podium/internal/core"
-	"podium/internal/groups"
 	"podium/internal/obs"
 	"podium/internal/profile"
 	"podium/internal/server"
 )
 
-// Coordinator is the distributed front of the sharded subsystem: an
-// http.Handler that owns the *global* dataset (for the merge round and every
-// read endpoint) and, per shard, a *replica group* — R servers holding
-// identical slices of the population. It intercepts selection and campaign
-// requests, routes each shard's call to the healthiest fresh replica (with
-// failover and hedging, see Router), and merges; everything else falls
-// through to the wrapped server, so a coordinator answers the full /api/v1
-// surface a single-node server does.
+// Coordinator is the distributed front of the sharded subsystem: it serves
+// from a base server that owns the *global* dataset (for the merge round and
+// every read endpoint) and keeps, per shard, a *replica group* — R servers
+// holding identical slices of the population. It takes over the base
+// server's select and campaign-creation endpoints and adds /api/v1/shards,
+// all in the base server's route table; each shard's call goes to the
+// healthiest fresh replica (with failover and hedging, see Router), and the
+// results merge. Every other endpoint stays the base server's, so a
+// coordinator answers the full /api/v1 surface a single-node server does.
 //
 // Failure semantics: a replica that errors fails over to its siblings; a
 // shard is absent from the merge — degraded — only when *every* replica of
@@ -75,10 +75,13 @@ type CoordinatorOptions struct {
 	Poll time.Duration
 }
 
-// NewCoordinator wraps base with a fan-out layer over the given shard specs.
-// Each spec names one shard's replica group: either a single URL or several
-// joined by "|" ("http://a:8080|http://b:8080"). Shard metrics register on
-// base's registry, so they surface through the wrapped server's
+// NewCoordinator registers a fan-out layer over the given shard specs in
+// base's route table, before base serves: POST /api/v1/select and POST
+// /api/v1/campaigns fan out, GET /api/v1/shards reports replica health, and
+// base keeps every other endpoint and method. Serve base itself (hardened as
+// any server is). Each spec names one shard's replica group: either a single
+// URL or several joined by "|" ("http://a:8080|http://b:8080"). Shard
+// metrics register on base's registry, so they surface through base's
 // /api/v1/metrics endpoint.
 //
 // The background probe loop is NOT started here — call Registry().Start()
@@ -127,40 +130,15 @@ func NewCoordinator(base *server.Server, shardSpecs []string, opt CoordinatorOpt
 	co.rt = newRouter(co.reg)
 	co.met.Shards.Set(int64(len(groups)))
 	co.met.Replicas.Set(int64(replicas))
+	base.Handle("select", http.MethodPost, "/api/v1/select", co.handleSelect)
+	base.Handle("campaigns", http.MethodPost, "/api/v1/campaigns", co.handleCampaigns)
+	base.Handle("shards", http.MethodGet, "/api/v1/shards", co.handleShards)
 	return co
 }
 
 // Registry exposes the replica health registry, for starting the background
 // probe loop and for tests.
 func (co *Coordinator) Registry() *Registry { return co.reg }
-
-// ServeHTTP intercepts the fan-out routes (v1 and legacy aliases alike) and
-// delegates everything else to the wrapped single-node server.
-func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/api/v1/select", "/api/select":
-		if r.Method != http.MethodPost {
-			server.WriteError(w, r, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, "%s requires POST", r.URL.Path)
-			return
-		}
-		co.handleSelect(w, r)
-	case "/api/v1/shards":
-		if r.Method != http.MethodGet {
-			server.WriteError(w, r, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, "%s requires GET", r.URL.Path)
-			return
-		}
-		co.handleShards(w, r)
-	case "/api/v1/campaigns", "/api/campaigns":
-		// Campaign creation fans out; listing stays with the base server.
-		if r.Method != http.MethodPost {
-			co.base.ServeHTTP(w, r)
-			return
-		}
-		co.handleCampaigns(w, r)
-	default:
-		co.base.ServeHTTP(w, r)
-	}
-}
 
 // coordSelectRequest is the subset of the select surface a coordinator
 // accepts: the base selection parameters. Feedback and named configurations
@@ -200,36 +178,14 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 			"named configurations are not supported on a coordinator")
 		return
 	}
-	if req.Budget <= 0 {
-		req.Budget = 8
-	}
 	if req.TopK <= 0 {
 		req.TopK = 200
 	}
-	ws, err := server.ParseWeights(req.Weights)
+	// Checked here rather than letting every shard 400 (or fail to encode
+	// an infinite score) and surfacing a misleading "all shards failed" 503.
+	sn := co.base.Snapshot()
+	p, err := sn.CheckSelect(req.Weights, req.Coverage, req.Rule, req.Budget, nil)
 	if err != nil {
-		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
-		return
-	}
-	cs, err := server.ParseCoverage(req.Coverage)
-	if err != nil {
-		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
-		return
-	}
-	rule, err := server.ParseRule(req.Rule)
-	if err != nil {
-		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
-		return
-	}
-	if ws == groups.WeightEBS && !rule.EBSCompatible() {
-		// Reject here rather than letting every shard 400 and surfacing a
-		// misleading "all shards failed" 503.
-		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument,
-			"rule %q does not support EBS weights (exact rank arithmetic implements only the coverage objective)", rule.Name())
-		return
-	}
-	if err := co.base.Snapshot().CheckFinite(ws, cs, req.Budget, nil); err != nil {
-		// Same reason: every shard leg would fail to encode its response.
 		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
 		return
 	}
@@ -241,7 +197,7 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// (and the per-rule merge below) needs the shard winners to be the
 	// rule's own greedy picks, not the default objective's.
 	outcomes := co.fanoutSelect(r, client.SelectRequest{
-		Budget:   req.Budget,
+		Budget:   p.Budget,
 		Weights:  req.Weights,
 		Coverage: req.Coverage,
 		Rule:     req.Rule,
@@ -281,9 +237,8 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 
 	msp := sp.StartChild("merge")
-	sn := co.base.Snapshot()
-	inst := sn.Instance(ws, cs, req.Budget)
-	res, err := core.MergeGreedyRule(inst, candidates, req.Budget, rule, core.Options{Parallelism: server.ClampParallelism(req.Parallelism)})
+	inst := sn.Instance(p.Weights, p.Coverage, p.Budget)
+	res, err := core.MergeGreedyRule(inst, candidates, p.Budget, p.Rule, core.Options{Parallelism: server.ClampParallelism(req.Parallelism)})
 	msp.End()
 	if err != nil {
 		server.WriteError(w, r, http.StatusInternalServerError, server.CodeInternal, "merge: %v", err)
@@ -298,7 +253,7 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("trace") == "1" || r.Header.Get("X-Podium-Trace") == "1" {
 		extra["trace"] = sp.JSON()
 	}
-	data, err := sn.RenderSelection(ws, cs, req.Budget, req.TopK, rule, res, extra)
+	data, err := sn.RenderSelection(p.Weights, p.Coverage, p.Budget, req.TopK, p.Rule, res, extra)
 	if err != nil {
 		server.WriteError(w, r, http.StatusInternalServerError, server.CodeInternal, "%v", err)
 		return
@@ -528,15 +483,4 @@ func (co *Coordinator) ShardURLs() []string {
 	copy(specs, co.spec)
 	sort.Strings(specs)
 	return specs
-}
-
-var _ http.Handler = (*Coordinator)(nil)
-
-// String identifies the coordinator in logs.
-func (co *Coordinator) String() string {
-	n := 0
-	for _, g := range co.reg.groups {
-		n += len(g)
-	}
-	return fmt.Sprintf("coordinator over %d shards (%d replicas)", len(co.spec), n)
 }

@@ -16,10 +16,11 @@ import (
 )
 
 // coordHarness is a coordinator over httptest-backed shard servers built
-// from one partitioned population.
+// from one partitioned population; base is the server it registered on,
+// which serves the coordinator's endpoints.
 type coordHarness struct {
 	plan    *Plan
-	coord   *Coordinator
+	base    *server.Server
 	servers []*httptest.Server
 }
 
@@ -44,8 +45,8 @@ func newCoordHarness(t *testing.T, users, shards int) *coordHarness {
 		h.servers = append(h.servers, ts)
 		urls[i] = ts.URL
 	}
-	base := server.New("coordinator", ix.Repo(), gcfg, nil)
-	h.coord = NewCoordinator(base, urls, CoordinatorOptions{
+	h.base = server.New("coordinator", ix.Repo(), gcfg, nil)
+	NewCoordinator(h.base, urls, CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1},
 		},
@@ -56,7 +57,7 @@ func newCoordHarness(t *testing.T, users, shards int) *coordHarness {
 
 func (h *coordHarness) client(t *testing.T) *client.Client {
 	t.Helper()
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 	return client.New(ts.URL, nil)
 }
@@ -179,7 +180,7 @@ func TestCoordinatorClampsParallelism(t *testing.T) {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		req := fmt.Sprintf(`{"budget":5,"rule":"harmonic","parallelism":%d}`, par)
-		h.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(req)))
+		h.base.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(req)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: HTTP %d: %s", req, rec.Code, rec.Body.String())
 		}
@@ -211,6 +212,55 @@ func TestCoordinatorRejectsEBSOverflow(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRouteTable: the coordinator's endpoints are rows of its base
+// server's route table. Its selects are counted per route as a single
+// node's are, a wrong method answers the table's 405 with Allow, and
+// /api/v1/shards is listed by Routes and on the index page.
+func TestCoordinatorRouteTable(t *testing.T) {
+	h := newCoordHarness(t, 120, 3)
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.base.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	for i := 0; i < 5; i++ {
+		if rec := serve(http.MethodPost, "/api/v1/select", `{"budget":3}`); rec.Code != http.StatusOK {
+			t.Fatalf("select %d: HTTP %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	rec := serve(http.MethodPut, "/api/v1/select", "")
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" ||
+		!strings.Contains(rec.Body.String(), "method PUT not allowed on /api/v1/select (allow: POST)") {
+		t.Fatalf("PUT select = %d, Allow %q: %s", rec.Code, rec.Header().Get("Allow"), rec.Body.String())
+	}
+	metrics := serve(http.MethodGet, "/api/v1/metrics", "").Body.String()
+	for _, want := range []string{
+		`podium_http_requests_total{code="200",method="POST",route="select"} 5`,
+		`podium_http_requests_total{code="405",method="PUT",route="select"} 1`,
+		`podium_http_request_duration_seconds_count{route="select"} 6`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("coordinator metrics missing %q", want)
+		}
+	}
+	rows := map[string][3]string{}
+	for _, row := range h.base.Routes() {
+		rows[row[0]] = row
+	}
+	for _, want := range [][3]string{
+		{"select", "/api/v1/select", "POST"},
+		{"campaigns", "/api/v1/campaigns", "GET, POST"},
+		{"shards", "/api/v1/shards", "GET"},
+	} {
+		if rows[want[0]] != want {
+			t.Errorf("route %s = %v, want %v", want[0], rows[want[0]], want)
+		}
+	}
+	if index := serve(http.MethodGet, "/", "").Body.String(); !strings.Contains(index, "/api/v1/shards") {
+		t.Errorf("index page does not list /api/v1/shards")
+	}
+}
+
 // TestCoordinatorShardsEndpoint: the health endpoint reports per-shard
 // population and epochs, and the fall-through routes still serve.
 func TestCoordinatorShardsEndpoint(t *testing.T) {
@@ -223,7 +273,7 @@ func TestCoordinatorShardsEndpoint(t *testing.T) {
 		Users int    `json:"users"`
 		Epoch uint64 `json:"epoch"`
 	}
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 	cl := client.New(ts.URL, nil)
 	_ = cl
@@ -258,7 +308,7 @@ func TestCoordinatorShardsEndpoint(t *testing.T) {
 // proportional budget split and aggregates terminal summaries.
 func TestCoordinatorCampaignFanout(t *testing.T) {
 	h := newCoordHarness(t, 200, 2)
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 
 	var agg struct {
@@ -353,7 +403,7 @@ func TestCoordinatorAbortsOnFailedBodyWrite(t *testing.T) {
 		}
 	}()
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/select", strings.NewReader(`{"budget":3}`))
-	h.coord.ServeHTTP(failingWriter{rec}, req)
+	h.base.ServeHTTP(failingWriter{rec}, req)
 	t.Fatal("failed body write did not abort the connection")
 }
 

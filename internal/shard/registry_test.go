@@ -19,6 +19,7 @@ import (
 // server over the same shard repository.
 type replicaHarness struct {
 	plan    *Plan
+	base    *server.Server
 	coord   *Coordinator
 	servers [][]*httptest.Server
 }
@@ -47,8 +48,8 @@ func newReplicaHarness(t *testing.T, users, shards, replicas int) *replicaHarnes
 		h.servers = append(h.servers, group)
 		specs[i] = strings.Join(urls, "|")
 	}
-	base := server.New("coordinator", ix.Repo(), gcfg, nil)
-	h.coord = NewCoordinator(base, specs, CoordinatorOptions{
+	h.base = server.New("coordinator", ix.Repo(), gcfg, nil)
+	h.coord = NewCoordinator(h.base, specs, CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1},
 		},
@@ -132,7 +133,7 @@ func TestRegistryProbesReplicas(t *testing.T) {
 // serving replicas.
 func TestReplicaFailoverBitIdentical(t *testing.T) {
 	h := newReplicaHarness(t, 300, 3, 2)
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 
 	healthy := h.rawSelect(t, ts.URL)
@@ -154,7 +155,7 @@ func TestReplicaFailoverBitIdentical(t *testing.T) {
 // coordinator 503s with the unified error envelope.
 func TestReplicaGroupDegradedOnlyWhenAllFail(t *testing.T) {
 	h := newReplicaHarness(t, 200, 2, 2)
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL, nil)
 
@@ -181,7 +182,7 @@ func TestReplicaGroupDegradedOnlyWhenAllFail(t *testing.T) {
 // health and carries the per-replica detail, including the downed replica.
 func TestShardsEndpointReportsReplicas(t *testing.T) {
 	h := newReplicaHarness(t, 200, 2, 2)
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 	h.servers[1][1].Close()
 
@@ -241,7 +242,7 @@ func TestShardsEndpointReportsReplicas(t *testing.T) {
 // each group dead.
 func TestCampaignFanoutSurvivesReplicaLoss(t *testing.T) {
 	h := newReplicaHarness(t, 200, 2, 2)
-	ts := httptest.NewServer(h.coord)
+	ts := httptest.NewServer(h.base)
 	t.Cleanup(ts.Close)
 	for _, group := range h.servers {
 		group[0].Close()

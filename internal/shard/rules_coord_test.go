@@ -69,13 +69,13 @@ func TestCoordinatorRulePassthrough(t *testing.T) {
 		urls[i] = ts.URL
 	}
 	base := server.New("coordinator", ix.Repo(), gcfg, nil)
-	coord := NewCoordinator(base, urls, CoordinatorOptions{
+	NewCoordinator(base, urls, CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1},
 		},
 		Poll: 10 * time.Millisecond,
 	})
-	ts := httptest.NewServer(coord)
+	ts := httptest.NewServer(base)
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL, nil)
 
