@@ -5,8 +5,8 @@ GO ?= go
 # check is the PR gate (scripts/check.sh): gofmt, vet of both modules (the
 # root and perfbench/), build, full tests, the race detector over the
 # concurrent packages, a 15 s fuzz run of the client's select-body decoder,
-# a 10 s fuzz run of journal replay and a 10 s fuzz run of the bucket-cut
-# decoder.
+# a 10 s fuzz run of journal replay, a 10 s fuzz run of the bucket-cut
+# decoder and a 10 s fuzz run of the repository decoders.
 check:
 	./scripts/check.sh
 

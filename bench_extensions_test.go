@@ -150,15 +150,6 @@ func BenchmarkFullRebuild(b *testing.B) {
 	}
 }
 
-// Parallel grouping ablation.
-func BenchmarkGroupBuildParallel4(b *testing.B) {
-	ta, _ := benchDatasets()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		groups.Build(ta.Repo, groups.Config{K: 3, Parallelism: 4})
-	}
-}
-
 // Query layer: parse cost and end-to-end query selection.
 func BenchmarkQueryParse(b *testing.B) {
 	src := `SELECT 8 USERS WEIGHTS LBS COVERAGE SINGLE

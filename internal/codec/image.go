@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,9 +18,9 @@ import (
 // Format v2: the snapshot image. Where v1 interleaves varints per user —
 // forcing a value-by-value decode through the repository's mutation API —
 // the v2 image is the columnar repository laid out section by section, so
-// loading is one file read, five bulk slice decodes and a validation pass.
-// Varints appear only in the fixed-size header; every bulk section is raw
-// little-endian.
+// loading is five small section reads, two columns streamed in fixed chunks
+// and a validation pass. Varints appear only in the fixed-size header;
+// every bulk section is raw little-endian.
 //
 //	magic "PODM" | version 2 | tagRepository
 //	header (varints): nLabels, labelBlobLen, nUsers, nameBlobLen, nLinks
@@ -159,34 +160,52 @@ func WriteRepositoryImage(w io.Writer, repo *profile.Repository) error {
 	return bw.Flush()
 }
 
-// ReadRepositoryImage decodes a format-v2 snapshot image from an in-memory
-// byte slice (typically the result of os.ReadFile).
+// ReadRepositoryImage decodes a format-v2 snapshot image held in memory.
 func ReadRepositoryImage(data []byte) (*profile.Repository, error) {
-	if len(data) < len(magic)+2 || string(data[:len(magic)]) != magic {
+	return readImage(bytes.NewReader(data), int64(len(data)))
+}
+
+// imageChunk is the size of the buffer the props and scores sections
+// stream through.
+const imageChunk = 64 << 10
+
+// readImage is the one image decoder, over size bytes of r. The header and
+// size checks run before any allocation sized from the header; the five
+// small sections are read whole, and the two link-sized columns stream
+// through one fixed chunk buffer straight into their slices, so the encoded
+// bytes and the decoded columns are never both held whole.
+func readImage(r io.ReaderAt, size int64) (*profile.Repository, error) {
+	// The prefix holds the magic, version, tag and at most five maximal
+	// varints — everything the header checks read.
+	prefix := make([]byte, min(size, int64(len(magic)+2+5*binary.MaxVarintLen64)))
+	if err := readAt(r, prefix, 0); err != nil {
+		return nil, err
+	}
+	if len(prefix) < len(magic)+2 || string(prefix[:len(magic)]) != magic {
 		return nil, fmt.Errorf("codec: bad magic")
 	}
-	if data[len(magic)] != imageVersion {
-		return nil, fmt.Errorf("codec: not a format-v2 image (version %d)", data[len(magic)])
+	if prefix[len(magic)] != imageVersion {
+		return nil, fmt.Errorf("codec: not a format-v2 image (version %d)", prefix[len(magic)])
 	}
-	if data[len(magic)+1] != tagRepository {
-		return nil, fmt.Errorf("codec: image section tag %d, want %d", data[len(magic)+1], tagRepository)
+	if prefix[len(magic)+1] != tagRepository {
+		return nil, fmt.Errorf("codec: image section tag %d, want %d", prefix[len(magic)+1], tagRepository)
 	}
-	rest := data[len(magic)+2:]
+	hdrEnd := len(magic) + 2
 	var hdr [5]uint64
 	for i, what := range []string{"label count", "label blob length", "user count", "name blob length", "link count"} {
-		v, n := binary.Uvarint(rest)
+		v, n := binary.Uvarint(prefix[hdrEnd:])
 		if n <= 0 {
 			return nil, fmt.Errorf("codec: reading %s: truncated header", what)
 		}
 		hdr[i] = v
-		rest = rest[n:]
+		hdrEnd += n
 	}
 	nLabels, labelBlobLen, nUsers, nameBlobLen, nLinks := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4]
 
 	// Sanity-check the header against the actual payload size before any
 	// allocation sized from it. The per-field bound keeps the size sum below
-	// overflow for any input that could plausibly match len(rest).
-	limit := uint64(len(rest))
+	// overflow for any input that could plausibly match the payload.
+	limit := uint64(size) - uint64(hdrEnd)
 	if nLabels > limit || labelBlobLen > limit || nUsers > limit || nameBlobLen > limit || nLinks > limit {
 		return nil, fmt.Errorf("codec: image header exceeds file size")
 	}
@@ -197,31 +216,58 @@ func ReadRepositoryImage(data []byte) (*profile.Repository, error) {
 	// Files with a checksum trailer carry 4 extra bytes per section; legacy
 	// images carry exactly the declared section bytes and skip verification.
 	var sums []uint32
-	switch uint64(len(rest)) {
+	switch limit {
 	case need:
 	case need + 4*imageSections:
-		tail := rest[need:]
+		tail := make([]byte, 4*imageSections)
+		if err := readAt(r, tail, int64(hdrEnd)+int64(need)); err != nil {
+			return nil, err
+		}
 		sums = make([]uint32, imageSections)
 		for i := range sums {
 			sums[i] = binary.LittleEndian.Uint32(tail[4*i:])
 		}
-		rest = rest[:need]
 	default:
-		return nil, fmt.Errorf("codec: image declares %d bytes of sections, file carries %d", need, len(rest))
+		return nil, fmt.Errorf("codec: image declares %d bytes of sections, file carries %d", need, limit)
 	}
 
+	pos := int64(hdrEnd)
 	section := 0
-	take := func(n uint64, what string) ([]byte, error) {
-		s := rest[:n]
-		rest = rest[n:]
-		if sums != nil {
-			if got := crc32.Checksum(s, castagnoli); got != sums[section] {
-				return nil, fmt.Errorf("%w: %s section crc %08x, trailer %08x", ErrChecksum, what, got, sums[section])
-			}
+	verify := func(crc uint32, what string) error {
+		if sums != nil && crc != sums[section] {
+			return fmt.Errorf("%w: %s section crc %08x, trailer %08x", ErrChecksum, what, crc, sums[section])
 		}
 		section++
-		return s, nil
+		return nil
 	}
+	take := func(n uint64, what string) ([]byte, error) {
+		s := make([]byte, n)
+		if err := readAt(r, s, pos); err != nil {
+			return nil, err
+		}
+		pos += int64(n)
+		return s, verify(crc32.Checksum(s, castagnoli), what)
+	}
+	// stream feeds n bytes of a section to decode chunk by chunk,
+	// checksumming as it goes. The chunk length is a multiple of 8 and every
+	// section length a multiple of its element size, so each chunk holds
+	// whole elements.
+	chunk := make([]byte, min(8*nLinks, imageChunk))
+	stream := func(n uint64, what string, decode func(b []byte)) error {
+		crc := uint32(0)
+		for n > 0 {
+			b := chunk[:min(n, uint64(len(chunk)))]
+			if err := readAt(r, b, pos); err != nil {
+				return err
+			}
+			crc = crc32.Update(crc, castagnoli, b)
+			decode(b)
+			pos += int64(len(b))
+			n -= uint64(len(b))
+		}
+		return verify(crc, what)
+	}
+
 	var secs [5][]byte
 	var err error
 	for i, sec := range []struct {
@@ -255,27 +301,44 @@ func ReadRepositoryImage(data []byte) (*profile.Repository, error) {
 		}
 		off[i] = int(v)
 	}
-	propBytes, err := take(4*nLinks, "property")
-	if err != nil {
-		return nil, err
-	}
 	props := make([]profile.PropertyID, nLinks)
-	for i := range props {
-		props[i] = profile.PropertyID(binary.LittleEndian.Uint32(propBytes[4*i:]))
-	}
-	scoreBytes, err := take(8*nLinks, "score")
-	if err != nil {
+	next := props
+	if err := stream(4*nLinks, "property", func(b []byte) {
+		for i := 0; i < len(b); i += 4 {
+			next[i/4] = profile.PropertyID(binary.LittleEndian.Uint32(b[i:]))
+		}
+		next = next[len(b)/4:]
+	}); err != nil {
 		return nil, err
 	}
 	scores := make([]float64, nLinks)
-	for i := range scores {
-		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(scoreBytes[8*i:]))
+	rest := scores
+	if err := stream(8*nLinks, "score", func(b []byte) {
+		for i := 0; i < len(b); i += 8 {
+			rest[i/8] = math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+		}
+		rest = rest[len(b)/8:]
+	}); err != nil {
+		return nil, err
 	}
 	repo, err := profile.FromColumns(labels, names, off, props, scores)
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
 	return repo, nil
+}
+
+// readAt fills p from r at off; a short read is an error even where r
+// reports none.
+func readAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("codec: %w", err)
 }
 
 // decodeStrings slices a string table out of its offset section and blob.
@@ -308,13 +371,18 @@ func WriteImageFile(path string, repo *profile.Repository) error {
 	return durable.WriteFile(path, func(w io.Writer) error { return WriteRepositoryImage(w, repo) })
 }
 
-// ReadImageFile loads a v2 snapshot image: one read, one validate. This is
-// the restart path — a million-user repository comes up in the time it takes
-// to fault the file in.
+// ReadImageFile loads a v2 snapshot image, streaming the file into its
+// columns: the file's bytes are never held whole beside them. This is the
+// restart path.
 func ReadImageFile(path string) (*profile.Repository, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
-	return ReadRepositoryImage(data)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("codec: %w", err)
+	}
+	return readImage(f, st.Size())
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"podium/internal/profile"
@@ -79,9 +81,27 @@ func TestImageRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	// Every input is also written to a file: ReadImageFile, which streams
+	// from the file, must give the in-memory reader's verdict and repository.
+	path := filepath.Join(t.TempDir(), "repo.img")
+	read := func(data []byte) (*profile.Repository, error) {
+		t.Helper()
+		repo, err := ReadRepositoryImage(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, ferr := ReadImageFile(path)
+		if (err == nil) != (ferr == nil) || (err != nil && err.Error() != ferr.Error()) {
+			t.Fatalf("%d bytes: ReadRepositoryImage says %v, ReadImageFile %v", len(data), err, ferr)
+		}
+		if err == nil {
+			assertRepoEqual(t, repo, fromFile)
+		}
+		return repo, err
+	}
 
 	for _, n := range []int{0, 3, 5, 6, 10, len(good) / 2, len(good) - 1} {
-		if _, err := ReadRepositoryImage(good[:n]); err == nil {
+		if _, err := read(good[:n]); err == nil {
 			t.Errorf("accepted truncation to %d bytes", n)
 		}
 	}
@@ -91,7 +111,7 @@ func TestImageRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(good); i += 7 {
 		mut := append([]byte(nil), good...)
 		mut[i] ^= 0xFF
-		repo, err := ReadRepositoryImage(mut)
+		repo, err := read(mut)
 		if err != nil {
 			continue
 		}
@@ -208,5 +228,40 @@ func TestImageCrashStates(t *testing.T) {
 		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 			t.Fatalf("tmp cut at %d: temp file left behind: %v", cut, err)
 		}
+	}
+}
+
+// TestImageFileStreamsIntoColumns: ReadImageFile decodes the two link-sized
+// sections through a fixed buffer straight into their columns, so loading an
+// image allocates its decoded columns and little else — never a second,
+// encoded copy of the file.
+func TestImageFileStreamsIntoColumns(t *testing.T) {
+	repo := synth.Generate(synth.ScaleLike(20000)).Repo
+	path := filepath.Join(t.TempDir(), "repo.img")
+	if err := WriteImageFile(path, repo); err != nil {
+		t.Fatal(err)
+	}
+	labels, names, off, props, _ := repo.RawColumns()
+	// The decoded columns: both string tables (headers and bytes), the row
+	// offsets, and a property ID and a score per link.
+	link := reflect.TypeFor[profile.PropertyID]().Size() + reflect.TypeFor[float64]().Size()
+	columns := 16*(len(labels)+len(names)) + 8*len(off) + int(link)*len(props)
+	for _, l := range labels {
+		columns += len(l)
+	}
+	for _, n := range names {
+		columns += len(n)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	back, err := ReadImageFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRepoEqual(t, repo, back)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(columns+2<<20); got >= limit {
+		t.Fatalf("ReadImageFile allocated %d bytes for %d bytes of columns, want < %d", got, columns, limit)
 	}
 }

@@ -11,6 +11,7 @@ package groups
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -86,11 +87,6 @@ type Config struct {
 	// MinGroupSize drops groups with fewer members; 0 selects 1 (keep every
 	// non-empty group).
 	MinGroupSize int
-	// Parallelism sets the worker count for per-property bucketing, the
-	// dominant cost of the offline grouping module. 0 or 1 builds
-	// sequentially; the output is identical either way (properties are
-	// independent and assembly order is fixed).
-	Parallelism int
 	// FixedBuckets pins β(p) for the listed properties instead of re-deriving
 	// cuts from the score distribution. Two callers rely on this: a mutable
 	// server restart rebuilds its index from the boundaries the live index
@@ -179,7 +175,33 @@ type bucketKey struct {
 // build — properties ascending, buckets ascending within a property, members
 // ascending by user — so group IDs, labels and every downstream selection
 // remain bit-identical.
+//
+// Per-property bucketing, the dominant cost of the offline grouping module,
+// runs on a pool of runtime.GOMAXPROCS(0) workers; the output does not
+// depend on the worker count (properties are independent and assembly order
+// is fixed).
 func Build(repo *profile.Repository, cfg Config) *Index {
+	return build(repo, cfg, runtime.GOMAXPROCS(0))
+}
+
+// Boundaries returns β(p) for every property some user holds, exactly as
+// Build(repo, cfg).BucketBoundaries() would, FixedBuckets included, without
+// building the index: it bins only the scores, splits each property, and
+// builds no user column, bucket assignment, arena or group. A shard server
+// reads the population's cuts this way.
+func Boundaries(repo *profile.Repository, cfg Config) map[profile.PropertyID][]bucketing.Bucket {
+	parts := partitionAll(binLinks(repo, false), cfg.withDefaults(), runtime.GOMAXPROCS(0), false)
+	out := make(map[profile.PropertyID][]bucketing.Bucket)
+	for pid, part := range parts {
+		if part != nil {
+			out[profile.PropertyID(pid)] = append([]bucketing.Bucket(nil), part.buckets...)
+		}
+	}
+	return out
+}
+
+// build is Build on a pool of the given number of bucketing workers.
+func build(repo *profile.Repository, cfg Config, workers int) *Index {
 	cfg = cfg.withDefaults()
 	nU := repo.NumUsers()
 	nP := repo.NumProperties()
@@ -189,8 +211,8 @@ func Build(repo *profile.Repository, cfg Config) *Index {
 		buckets:  make(map[profile.PropertyID][]bucketing.Bucket),
 		byBucket: make(map[bucketKey]GroupID),
 	}
-	links := binLinks(repo)
-	parts := partitionAll(links, cfg)
+	links := binLinks(repo, true)
+	parts := partitionAll(links, cfg, workers, true)
 
 	// Size the members arena: count surviving groups and their members.
 	nGroups, arenaLen := 0, 0

@@ -33,11 +33,12 @@ func bucketizeProperty(repo *profile.Repository, cfg Config, p profile.PropertyI
 }
 
 // propLinks is every (user, property, score) link of the repository binned
-// by property into two contiguous arenas: property p's holders are
-// users[off[p]:off[p+1]] (ascending UserID — rows are visited in user order)
-// with their scores in the parallel scores arena. One O(links) pass replaces
-// the per-property full-repository scans of the pre-columnar build, turning
-// the bucketing stage from O(properties × links) into O(links).
+// by property into contiguous arenas: property p's scores are
+// scores[off[p]:off[p+1]], and its holders users[off[p]:off[p+1]]
+// (ascending UserID — rows are visited in user order). One O(links) pass
+// replaces the per-property full-repository scans of the pre-columnar build,
+// turning the bucketing stage from O(properties × links) into O(links).
+// users is nil when the links were binned for their cuts alone.
 type propLinks struct {
 	off    []int
 	users  []profile.UserID
@@ -45,8 +46,9 @@ type propLinks struct {
 }
 
 // binLinks bins the repository's links by property in two columnar passes:
-// count, prefix-sum, fill.
-func binLinks(repo *profile.Repository) *propLinks {
+// count, prefix-sum, fill. withUsers false fills the score arena alone —
+// all that deriving cuts reads.
+func binLinks(repo *profile.Repository, withUsers bool) *propLinks {
 	nP := repo.NumProperties()
 	off := make([]int, nP+1)
 	repo.EachRow(func(_ profile.UserID, props []profile.PropertyID, _ []float64) {
@@ -57,17 +59,18 @@ func binLinks(repo *profile.Repository) *propLinks {
 	for p := 0; p < nP; p++ {
 		off[p+1] += off[p]
 	}
-	l := &propLinks{
-		off:    off,
-		users:  make([]profile.UserID, off[nP]),
-		scores: make([]float64, off[nP]),
+	l := &propLinks{off: off, scores: make([]float64, off[nP])}
+	if withUsers {
+		l.users = make([]profile.UserID, off[nP])
 	}
 	cur := make([]int, nP)
 	copy(cur, off[:nP])
 	repo.EachRow(func(u profile.UserID, props []profile.PropertyID, scores []float64) {
 		for i, p := range props {
 			c := cur[p]
-			l.users[c] = u
+			if l.users != nil {
+				l.users[c] = u
+			}
 			l.scores[c] = scores[i]
 			cur[p] = c + 1
 		}
@@ -84,12 +87,13 @@ type propPartition struct {
 	counts  []int
 }
 
-// partitionAll buckets every property's score segment, sequentially or with
-// cfg.Parallelism workers. Workers only read the shared link arenas and
-// write disjoint result slots, so the output is identical either way; the
-// slice is indexed by PropertyID with nil entries for properties no user
-// holds.
-func partitionAll(links *propLinks, cfg Config) []*propPartition {
+// partitionAll resolves β(p) for every property some user holds, across a
+// pool of workers goroutines, and with assign also bins each link of the
+// property into its bucket. Workers only read the shared link arenas and
+// write disjoint result slots, so the output is identical for any worker
+// count; the slice is indexed by PropertyID with nil entries for properties
+// no user holds.
+func partitionAll(links *propLinks, cfg Config, workers int, assign bool) []*propPartition {
 	nP := len(links.off) - 1
 	results := make([]*propPartition, nP)
 	one := func(pid int) {
@@ -98,28 +102,20 @@ func partitionAll(links *propLinks, cfg Config) []*propPartition {
 			return
 		}
 		scores := links.scores[a:b]
-		bs := cfg.bucketsFor(profile.PropertyID(pid), scores)
-		part := &propPartition{
-			buckets: bs,
-			asg:     make([]int32, len(scores)),
-			counts:  make([]int, len(bs)),
-		}
-		for i, s := range scores {
-			bi := bucketing.Assign(bs, s)
-			part.asg[i] = int32(bi)
-			if bi >= 0 {
-				part.counts[bi]++
+		part := &propPartition{buckets: cfg.bucketsFor(profile.PropertyID(pid), scores)}
+		if assign {
+			part.asg = make([]int32, len(scores))
+			part.counts = make([]int, len(part.buckets))
+			for i, s := range scores {
+				bi := bucketing.Assign(part.buckets, s)
+				part.asg[i] = int32(bi)
+				if bi >= 0 {
+					part.counts[bi]++
+				}
 			}
 		}
 		results[pid] = part
 	}
-	if cfg.Parallelism <= 1 {
-		for pid := 0; pid < nP; pid++ {
-			one(pid)
-		}
-		return results
-	}
-	workers := cfg.Parallelism
 	if workers > nP {
 		workers = nP
 	}

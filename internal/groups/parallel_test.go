@@ -26,8 +26,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	for _, workers := range []int{2, 4, 9} {
 		// Fresh repositories per run: Build forces lazy profile sorting, and
 		// sharing one repo would hide ordering bugs.
-		seq := Build(randomRepo(3, 120, 25), Config{K: 3})
-		par := Build(randomRepo(3, 120, 25), Config{K: 3, Parallelism: workers})
+		seq := build(randomRepo(3, 120, 25), Config{K: 3}, 1)
+		par := build(randomRepo(3, 120, 25), Config{K: 3}, workers)
 		if seq.NumGroups() != par.NumGroups() {
 			t.Fatalf("workers=%d: %d vs %d groups", workers, par.NumGroups(), seq.NumGroups())
 		}
@@ -61,7 +61,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 
 func TestParallelBuildMoreWorkersThanProperties(t *testing.T) {
 	repo := randomRepo(5, 20, 3)
-	ix := Build(repo, Config{K: 3, Parallelism: 64})
+	ix := build(repo, Config{K: 3}, 64)
 	if ix.NumGroups() == 0 {
 		t.Fatal("no groups built")
 	}

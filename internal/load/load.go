@@ -60,7 +60,8 @@ func open(path string, wantStore bool) (*profile.Repository, *opinions.Store, ma
 	case bytes.HasPrefix(head, []byte("PODM")):
 		// Binary codec: the 5th byte is the format version, the 6th the
 		// section tag. Format-v2 snapshot images take the bulk-read path —
-		// one os.ReadFile + validate instead of a value-by-value decode.
+		// sections streamed into their columns, then one validation pass,
+		// instead of a value-by-value decode.
 		if len(head) >= 5 && head[4] == 2 {
 			repo, err := codec.ReadImageFile(path)
 			return repo, nil, nil, err

@@ -393,9 +393,15 @@ func (co *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "decoding request: %v", err)
 		return
 	}
-	if req.Budget <= 0 {
-		req.Budget = 8
+	// The select's parameter check, run before any fan-out: a bad weight
+	// scheme or rule is the caller's 400, not a degraded 200 whose every
+	// shard row carries its shard's 400.
+	p, err := co.base.Snapshot().CheckSelect(req.Weights, req.Coverage, req.Rule, req.Budget, nil)
+	if err != nil {
+		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
+		return
 	}
+	req.Budget = p.Budget
 
 	// Budget split: proportional to shard population, each live shard
 	// getting at least 1. Populations come from a fresh probe round — the

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -344,6 +346,45 @@ func TestCoordinatorCampaignFanout(t *testing.T) {
 	}
 	if agg.Accepted == 0 {
 		t.Fatal("campaign accepted no users with decline and non-response at 0")
+	}
+}
+
+// TestCoordinatorCampaignRejectsBadParams: campaign creation runs the
+// select's parameter check before any fan-out, so an unknown weight scheme
+// or rule is the select's 400 — not a degraded 200 whose every shard row
+// carries that shard's 400 — and no shard receives a campaign.
+func TestCoordinatorCampaignRejectsBadParams(t *testing.T) {
+	h := newCoordHarness(t, 120, 2)
+	ts := httptest.NewServer(h.base)
+	t.Cleanup(ts.Close)
+	for _, body := range []string{`{"weights":"nope"}`, `{"rule":"nope"}`} {
+		sel, err := http.Post(ts.URL+"/api/v1/select", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := io.ReadAll(sel.Body)
+		sel.Body.Close()
+		if sel.StatusCode != http.StatusBadRequest {
+			t.Fatalf("select %s: status %d, want 400", body, sel.StatusCode)
+		}
+		camp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(camp.Body)
+		camp.Body.Close()
+		if camp.StatusCode != http.StatusBadRequest || string(got) != string(want) {
+			t.Fatalf("campaign %s: %d %s, want the select's 400 %s", body, camp.StatusCode, got, want)
+		}
+	}
+	for i, srv := range h.servers {
+		var camps []json.RawMessage
+		if err := getJSON(t, srv.URL+"/api/v1/campaigns", &camps); err != nil {
+			t.Fatal(err)
+		}
+		if len(camps) != 0 {
+			t.Fatalf("shard %d received %d campaigns from rejected requests", i, len(camps))
+		}
 	}
 }
 

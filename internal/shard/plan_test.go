@@ -109,6 +109,65 @@ func TestPlanShardsMirrorGlobalBuckets(t *testing.T) {
 	}
 }
 
+// TestCarveMatchesPlan: each shard Carve materializes — the CLI's
+// -shards/-shard-id path, which derives the global cuts without a global
+// index — holds the same users, pins the same bucket boundaries and indexes
+// the same group memberships as NewPlan's shard of that id under the same
+// seed, and the carved shards partition the population.
+func TestCarveMatchesPlan(t *testing.T) {
+	const shards, seed = 4, 7
+	ix, gcfg := buildGlobal(t, 400, 13)
+	plan, err := NewPlan(ix, gcfg, Options{Shards: shards, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := ix.Repo()
+	seen := make([]int, repo.NumUsers())
+	for id, want := range plan.Shards {
+		sub, scfg, err := Carve(repo, gcfg, shards, id, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(scfg.FixedBuckets, ix.BucketBoundaries()) {
+			t.Fatalf("shard %d: carved boundaries differ from the global index's", id)
+		}
+		if sub.NumUsers() != want.Repo.NumUsers() {
+			t.Fatalf("shard %d: carved %d users, plan %d", id, sub.NumUsers(), want.Repo.NumUsers())
+		}
+		for local, global := range want.Users {
+			u := profile.UserID(local)
+			if sub.UserName(u) != repo.UserName(global) {
+				t.Fatalf("shard %d row %d is not global user %d", id, local, global)
+			}
+			if !reflect.DeepEqual(sub.Profile(u), want.Repo.Profile(u)) {
+				t.Fatalf("shard %d row %d: profile differs from the plan's", id, local)
+			}
+			seen[global]++
+		}
+		got := groups.Build(sub, scfg)
+		if !reflect.DeepEqual(got.BucketBoundaries(), want.Index.BucketBoundaries()) {
+			t.Fatalf("shard %d: index boundaries differ from the plan's", id)
+		}
+		if got.NumGroups() != want.Index.NumGroups() {
+			t.Fatalf("shard %d: %d groups, plan %d", id, got.NumGroups(), want.Index.NumGroups())
+		}
+		for g := 0; g < got.NumGroups(); g++ {
+			a, b := got.Group(groups.GroupID(g)), want.Index.Group(groups.GroupID(g))
+			if a.Prop != b.Prop || a.BucketIdx != b.BucketIdx || !reflect.DeepEqual(a.Members, b.Members) {
+				t.Fatalf("shard %d group %d differs from the plan's", id, g)
+			}
+		}
+	}
+	for u, n := range seen {
+		if n != 1 {
+			t.Fatalf("user %d carved onto %d shards", u, n)
+		}
+	}
+	if _, _, err := Carve(repo, gcfg, shards, shards, seed); err == nil {
+		t.Fatal("Carve accepted a shard id outside [0, shards)")
+	}
+}
+
 // TestMergeGreedyProperty is the randomized proof-harness sweep the issue
 // names: 50 random instances, each selected at several shard counts.
 // Asserts (a) merged coverage is within the (1−1/e)²-style regime — we use

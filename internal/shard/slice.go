@@ -14,8 +14,8 @@ import (
 // cuts from its local score distribution would disagree with the
 // coordinator's merge instance about group membership; pinning keeps every
 // shard's groups exact restrictions of the global ones. This is the CLI's
-// -shards/-shard-id path, so it derives the boundaries itself from a
-// throwaway global index.
+// -shards/-shard-id path, so it derives the boundaries itself with
+// groups.Boundaries, which builds no global index.
 func Carve(repo *profile.Repository, cfg groups.Config, shards, id int, seed uint64) (*profile.Repository, groups.Config, error) {
 	if id < 0 || id >= shards {
 		return nil, cfg, fmt.Errorf("shard: id %d outside [0,%d)", id, shards)
@@ -24,8 +24,7 @@ func Carve(repo *profile.Repository, cfg groups.Config, shards, id int, seed uin
 	if err != nil {
 		return nil, cfg, err
 	}
-	global := groups.Build(repo, cfg)
-	cfg.FixedBuckets = global.BucketBoundaries()
+	cfg.FixedBuckets = groups.Boundaries(repo, cfg)
 	labels, names, off, props, scores := repo.RawColumns()
 	sub, err := sliceRepo(labels, names, off, props, scores, part.Assign(repo.NumUsers())[id])
 	if err != nil {

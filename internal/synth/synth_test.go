@@ -201,7 +201,7 @@ func TestPaperScaleCorpusStatistics(t *testing.T) {
 	if d := ds.Store.NumDestinations(); d < 45000 || d > 55000 {
 		t.Fatalf("destinations = %d, want ≈50K", d)
 	}
-	ix := groups.Build(ds.Repo, groups.Config{K: 3, Parallelism: 4})
+	ix := groups.Build(ds.Repo, groups.Config{K: 3})
 	if g := ix.NumGroups(); g < 5000 || g > 20000 {
 		t.Fatalf("groups = %d, want the paper's order of magnitude (11,749)", g)
 	}

@@ -43,6 +43,10 @@
 #      records on every mutable server start: payloads framed by a valid
 #      header and checksum must decode without a panic, and cuts it accepts
 #      must re-encode and decode equal
+#  10. a bounded fuzz run (10 s) of the repository decoders
+#      (FuzzReadRepository in internal/codec): arbitrary bytes through the
+#      v1 stream reader and the v2 image decoder every image load runs must
+#      fail cleanly or yield a fully valid repository that round-trips
 #
 # `./scripts/check.sh race` (what `make race` runs) runs step 6 alone; the
 # package list below is the only copy.
@@ -91,5 +95,8 @@ go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 100x ./inte
 
 echo "== go test -fuzz FuzzReadBuckets ./internal/codec"
 go test -run '^$' -fuzz '^FuzzReadBuckets$' -fuzztime 10s -fuzzminimizetime 100x ./internal/codec
+
+echo "== go test -fuzz FuzzReadRepository ./internal/codec"
+go test -run '^$' -fuzz '^FuzzReadRepository$' -fuzztime 10s -fuzzminimizetime 100x ./internal/codec
 
 echo "check: all green"
